@@ -10,7 +10,9 @@
 //! # Flat substrate
 //!
 //! All hot-path state is indexed by a dense *prefix id* (pid): the engine
-//! interns every AS prefix into one sorted table at construction, so
+//! interns the prefixes of the ASes it may originate (every AS by
+//! default, see [`Bgp::with_origins`]) into one sorted table at
+//! construction, so
 //! per-router RIBs are flat arrays indexed by pid instead of sorted maps
 //! keyed by [`Prefix`] (whose inserts memmove O(prefixes) entries). AS
 //! paths are interned into a shared [`PathPool`] — messages and stored
@@ -490,10 +492,30 @@ pub struct Bgp {
 }
 
 impl Bgp {
-    /// Creates the engine with empty RIBs and no routes originated.
+    /// Creates the engine with empty RIBs and no routes originated, over
+    /// every AS's prefix: the all-ASes case of [`Bgp::with_origins`].
     pub fn new(topology: &Topology) -> Self {
+        let all: Vec<AsId> = topology.ases().iter().map(|a| a.id).collect();
+        Self::with_origins(topology, &all)
+    }
+
+    /// Creates the engine with empty RIBs and no routes originated, over
+    /// the prefix space of `origins` only: per-router RIBs hold one cell
+    /// per origin prefix, and only these ASes may be originated.
+    ///
+    /// An engine that only ever originates a few ASes (a sensor placement
+    /// originates its sensors' prefixes) is observationally identical to
+    /// a [`Bgp::new`] engine that originated the same ASes. Pids ascend in
+    /// prefix order within the subset, so every pid walk visits the
+    /// in-scope prefixes in the same relative order, and the prefixes left
+    /// out would only ever have been empty cells there: [`Bgp::best_route`]
+    /// answers `None` for them and a filter on them queues nothing.
+    pub fn with_origins(topology: &Topology, origins: &[AsId]) -> Self {
         let sessions = Arc::new(SessionTable::build(topology));
-        let mut prefixes: Vec<Prefix> = topology.ases().iter().map(|a| a.prefix).collect();
+        let mut prefixes: Vec<Prefix> = origins
+            .iter()
+            .map(|&a| topology.as_node(a).prefix)
+            .collect();
         prefixes.sort_unstable();
         prefixes.dedup();
         let n_prefixes = prefixes.len();
@@ -699,11 +721,16 @@ impl Bgp {
     /// Originates `as_id`'s prefix at every border router of the AS (every
     /// router for single-router ASes). Queues the initial announcements;
     /// call [`Bgp::run`] afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `as_id`'s prefix is outside the engine's prefix space,
+    /// i.e. the engine was built by [`Bgp::with_origins`] without it.
     pub fn originate_as(&mut self, ctx: Ctx<'_>, as_id: AsId) {
         let asn = ctx.topology.as_node(as_id);
         let pid = self
             .pid_of(&asn.prefix)
-            .expect("every AS prefix is interned at engine construction");
+            .expect("originated AS outside the engine's prefix space");
         let originators: Vec<RouterId> = asn
             .routers
             .iter()
@@ -718,7 +745,8 @@ impl Bgp {
         }
     }
 
-    /// Originates every AS's prefix.
+    /// Originates every AS's prefix (on a [`Bgp::new`] engine; see the
+    /// panics of [`Bgp::originate_as`]).
     pub fn originate_all(&mut self, ctx: Ctx<'_>) {
         for a in 0..ctx.topology.as_count() {
             self.originate_as(ctx, AsId(a as u32));

@@ -122,33 +122,56 @@ fn resolved_threads(fc: &FigureConfig) -> usize {
 
 /// Phase 1 of a collection: one [`PlacementContext`](crate::runner::PlacementContext)
 /// per placement, each from its own derived seed, prepared on up to
-/// `threads` workers (preparation order does not matter — the seeds make
-/// every context independent of scheduling).
+/// `threads` workers that claim placement indices from a shared counter
+/// (preparation order does not matter — the seeds make every context
+/// independent of scheduling — and the result is in placement order).
 fn prepare_contexts(
     net: &Internet,
     cfg: &RunConfig,
     fc: &FigureConfig,
     threads: usize,
 ) -> Vec<crate::runner::PlacementContext> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     let prepare_one = |p: usize| -> crate::runner::PlacementContext {
         let _trial = netdiag_obs::trial_scope(p as u32, netdiag_obs::SETUP_TRIAL);
         let mut prng = StdRng::seed_from_u64(fc.base_seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
         prepare_with(net, cfg, &mut prng, fc.recorder.clone())
     };
-    if threads > 1 && fc.placements > 1 {
-        let prep = &prepare_one;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..fc.placements)
-                .map(|p| scope.spawn(move || prep(p)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("placement worker panicked"))
-                .collect()
-        })
-    } else {
-        (0..fc.placements).map(prepare_one).collect()
+    let workers = threads.min(fc.placements);
+    if workers <= 1 {
+        return (0..fc.placements).map(prepare_one).collect();
     }
+    // The counter only hands out indices; the contexts travel back through
+    // `join`, so Relaxed publishes nothing it must order.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<crate::runner::PlacementContext>> =
+        (0..fc.placements).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let p = next.fetch_add(1, Ordering::Relaxed);
+                        if p >= fc.placements {
+                            return done;
+                        }
+                        done.push((p, prepare_one(p)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            for (p, ctx) in h.join().expect("placement worker panicked") {
+                slots[p] = Some(ctx);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|c| c.expect("every placement index is claimed exactly once"))
+        .collect()
 }
 
 /// Runs the paper's standard experiment loop for one scenario: `placements`

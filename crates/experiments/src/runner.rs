@@ -125,10 +125,13 @@ pub fn prepare_with(
         ObserverPosition::SensorStub => sensors.sensors()[0].as_id,
     };
 
-    let mut sim = Sim::with_recorder(Arc::clone(&topology), recorder.clone());
+    // Trials only probe between sensors, so the simulator's BGP tables
+    // are sized to the sensor prefixes alone.
+    let origins = sensors.as_ids();
+    let mut sim = Sim::with_origins(Arc::clone(&topology), &origins, recorder.clone());
     sensors.register(&mut sim);
     sim.set_observer(observer);
-    sim.converge_for(&sensors.as_ids());
+    sim.converge_for(&origins);
     // Drop the initial-convergence chatter; trials only want event-driven
     // messages.
     sim.take_observed();

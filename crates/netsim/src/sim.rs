@@ -77,9 +77,12 @@ pub struct Sim {
 
 impl Sim {
     /// Creates a simulator with all links up, IGP converged, and an empty
-    /// BGP — call [`Sim::converge_for`] or [`Sim::converge_all`] next.
+    /// BGP over every AS's prefix — call [`Sim::converge_for`] or
+    /// [`Sim::converge_all`] next. The all-ASes, uninstrumented case of
+    /// [`Sim::with_origins`].
     pub fn new(topology: Arc<Topology>) -> Self {
-        Self::with_recorder(topology, RecorderHandle::noop())
+        let all: Vec<AsId> = topology.ases().iter().map(|a| a.id).collect();
+        Self::with_origins(topology, &all, RecorderHandle::noop())
     }
 
     /// [`Sim::new`] with the initial per-AS SPF runs fanned over `threads`
@@ -109,13 +112,21 @@ impl Sim {
         }
     }
 
-    /// [`Sim::new`] with an instrumentation sink: all IGP/BGP/probe work of
-    /// this simulator (including the initial SPF and every clone taken from
-    /// it) reports to `recorder`.
-    pub fn with_recorder(topology: Arc<Topology>, recorder: RecorderHandle) -> Self {
+    /// A simulator whose BGP prefix space holds only the prefixes of
+    /// `origins` ([`Bgp::with_origins`]), with an instrumentation sink:
+    /// RIBs are sized to the prefixes the simulator will ever originate,
+    /// so copy-on-write breaks and longest-prefix-match scans touch only
+    /// those, and all IGP/BGP/probe work of this simulator (including the
+    /// initial SPF and every clone taken from it) reports to `recorder`.
+    /// Only these ASes may be passed to [`Sim::converge_for`].
+    pub fn with_origins(
+        topology: Arc<Topology>,
+        origins: &[AsId],
+        recorder: RecorderHandle,
+    ) -> Self {
         let links = LinkState::all_up(&topology);
         let igp = Igp::compute_recorded(&topology, &links, &recorder);
-        let mut bgp = Bgp::new(&topology);
+        let mut bgp = Bgp::with_origins(&topology, origins);
         bgp.set_recorder(recorder.clone());
         bgp.recompute_liveness(Ctx {
             topology: &topology,
@@ -180,7 +191,13 @@ impl Sim {
     /// Originates the prefixes of the given ASes and converges.
     ///
     /// Routing toward a prefix is independent of other prefixes in this
-    /// model, so experiments only need the sensor ASes' prefixes.
+    /// model, so experiments only need the sensor ASes' prefixes (and can
+    /// build the simulator with [`Sim::with_origins`] scoped to them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an AS is outside the simulator's prefix space (see
+    /// [`Sim::with_origins`]).
     pub fn converge_for(&mut self, ases: &[AsId]) {
         let ctx = Ctx {
             topology: &self.topology,
@@ -193,7 +210,8 @@ impl Sim {
         self.messages += self.bgp.run(ctx).messages;
     }
 
-    /// Originates every AS's prefix and converges.
+    /// Originates every AS's prefix and converges (on a simulator with the
+    /// full prefix space; see the panics of [`Sim::converge_for`]).
     pub fn converge_all(&mut self) {
         let ids: Vec<AsId> = self.topology.ases().iter().map(|a| a.id).collect();
         self.converge_for(&ids);

@@ -62,11 +62,19 @@ impl Json {
     }
 }
 
-/// Parses one complete JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound one line of `[`s read from a socket
+/// overflows the stack and aborts the process; the workspace's own
+/// documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON document; trailing non-whitespace, and nesting
+/// deeper than [`MAX_DEPTH`], are errors.
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -80,6 +88,8 @@ pub fn parse(src: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -123,8 +133,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -316,6 +340,17 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"open", "{} x", "01a"] {
             assert!(parse(bad).is_err(), "{bad:?} must fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(1_000_000), "}".repeat(1_000_000));
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok(), "the limit itself parses");
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

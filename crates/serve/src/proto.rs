@@ -253,6 +253,12 @@ mod tests {
     use super::*;
 
     #[test]
+    fn deeply_nested_request_is_an_error_not_an_abort() {
+        let err = parse_request(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
     fn parses_the_ops() {
         assert!(matches!(
             parse_request(r#"{"op":"ping","id":7}"#),

@@ -30,6 +30,11 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== benchmark package tests =="
+# benchmark/ is a workspace of its own, so the root test run above does
+# not build it, yet its layer walk calls experiments/netsim APIs directly.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== bench + perf gates (full budget) =="
 # scripts/bench.sh runs the perf bench, rewrites BENCH_PR6.json and applies
 # the regression / incremental / pool / trace-overhead guards. The gate
