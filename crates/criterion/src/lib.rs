@@ -13,13 +13,9 @@
 //! iteration — enough to eyeball regressions and to keep `cargo bench`
 //! compiling and running offline.
 //!
-//! Two environment variables drive `scripts/bench.sh`:
-//!
-//! * `CRITERION_QUICK=1` caps every benchmark at 10 samples with short
-//!   warm-up/measurement budgets (a smoke-level run);
-//! * `CRITERION_JSON=<path>` appends one JSON line per benchmark
-//!   (`{"id", "samples", "min_ns", "median_ns", "mean_ns"}`) to `<path>`
-//!   in addition to the human-readable stdout line.
+//! `CRITERION_JSON=<path>` additionally appends one JSON line per
+//! benchmark (`{"id", "samples", "min_ns", "median_ns", "mean_ns"}`) to
+//! `<path>`; `scripts/bench.sh` reads its budget ratios from there.
 
 #![forbid(unsafe_code)]
 // A benchmark harness reports to stdout; that is its interface.
@@ -58,18 +54,6 @@ impl Criterion {
             warm_up_time: Duration::from_secs(3),
             measurement_time: Duration::from_secs(5),
         }
-    }
-
-    /// Runs a standalone benchmark outside any group.
-    pub fn bench_function<F>(&mut self, id: impl Into<String>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        let mut group = self.benchmark_group(String::new());
-        group.bench_function(id, f);
-        group.finish();
-        self
     }
 
     fn matches(&self, id: &str) -> bool {
@@ -113,27 +97,10 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        let full_id = if self.name.is_empty() {
-            id
-        } else {
-            format!("{}/{}", self.name, id)
-        };
+        let full_id = format!("{}/{}", self.name, id.into());
         if !self.criterion.matches(&full_id) {
             return self;
         }
-
-        // CRITERION_QUICK caps the budgets for smoke runs (bench.sh).
-        let quick = std::env::var_os("CRITERION_QUICK").is_some_and(|v| v != "0" && !v.is_empty());
-        let (sample_size, warm_up_time, measurement_time) = if quick {
-            (
-                self.sample_size.min(10),
-                self.warm_up_time.min(Duration::from_millis(200)),
-                self.measurement_time.min(Duration::from_millis(800)),
-            )
-        } else {
-            (self.sample_size, self.warm_up_time, self.measurement_time)
-        };
 
         // Warm-up: run until the budget elapses (at least once).
         let warm_start = Instant::now();
@@ -142,7 +109,7 @@ impl BenchmarkGroup<'_> {
             elapsed: Duration::ZERO,
             iters: 0,
         };
-        while warm_iters == 0 || warm_start.elapsed() < warm_up_time {
+        while warm_iters == 0 || warm_start.elapsed() < self.warm_up_time {
             bencher.reset();
             f(&mut bencher);
             warm_iters += bencher.iters.max(1);
@@ -150,10 +117,10 @@ impl BenchmarkGroup<'_> {
 
         // Sampling: `sample_size` samples, stopping early only if the
         // measurement budget is exhausted (every benchmark gets >= 1).
-        let mut per_iter: Vec<f64> = Vec::with_capacity(sample_size);
+        let mut per_iter: Vec<f64> = Vec::with_capacity(self.sample_size);
         let sample_start = Instant::now();
-        for i in 0..sample_size {
-            if i > 0 && sample_start.elapsed() > measurement_time {
+        for i in 0..self.sample_size {
+            if i > 0 && sample_start.elapsed() > self.measurement_time {
                 break;
             }
             bencher.reset();
@@ -217,33 +184,6 @@ impl Bencher {
         self.iters += 1;
         drop(black_box(out));
     }
-
-    /// Runs `setup` untimed, then times `routine` on its output — for
-    /// benchmarks whose per-iteration state preparation must stay out of
-    /// the measurement (upstream `iter_batched`).
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        let input = setup();
-        let start = Instant::now();
-        let out = routine(input);
-        self.elapsed += start.elapsed();
-        self.iters += 1;
-        drop(black_box(out));
-    }
-}
-
-/// Upstream-compatible batch-size hint. The in-tree harness runs one
-/// setup + one routine per measured call either way, so this only keeps
-/// call sites source-compatible with real criterion.
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSize {
-    /// Setup output is cheap to hold many of (upstream batches these).
-    SmallInput,
-    /// Setup output is expensive; upstream runs one at a time.
-    LargeInput,
 }
 
 fn format_time(secs: f64) -> String {

@@ -37,7 +37,7 @@
 //!     With `--converge` it builds the simulator, converges the full RIB
 //!     (sharded over `--threads` workers when > 1) and reports wall
 //!     times, message counts and peak RSS — `--json` emits the same as
-//!     one machine-readable line (consumed by scripts/bench.sh).
+//!     one machine-readable line (scripts/check.sh pins its counts).
 //! ```
 //!
 //! `simulate` and `diagnose` accept `--profile FILE` (instrumentation

@@ -15,20 +15,23 @@
 //! (`igp.spf_runs`, `bgp.msgs`, `probe.hops`, `hs.greedy_iters`, …); the
 //! full vocabulary lives in [`names`].
 //!
-//! Two recorders ship with the crate: [`NoopRecorder`] (the default —
-//! every call is a no-op behind an `enabled()` fast-gate, so
-//! uninstrumented runs pay nothing) and [`InMemoryRecorder`]
-//! (thread-safe aggregation plus a stable, hand-rolled JSON
-//! [`RunReport`] — no serde). Instrumented code holds a cheap
-//! [`RecorderHandle`] (a clonable `Arc<dyn Recorder>`); hot loops batch
-//! locally and flush one `add` per operation.
+//! Instrumented code holds a cheap [`RecorderHandle`] (a clonable
+//! `Arc<dyn Recorder>`); hot loops batch locally and flush one `add` per
+//! operation. Five recorders ship with the crate:
 //!
-//! Beyond aggregates, the crate is also a tracing substrate: structured
-//! [`Event`]s ([`Recorder::event`]) carry per-trial context and logical
-//! sequence numbers (see [`trace`]) into the bounded-ring
-//! [`TraceRecorder`], which exports deterministic JSONL and
-//! Chrome-trace/Perfetto JSON. [`FanoutRecorder`] composes metrics and
-//! tracing sinks behind one handle.
+//! * [`NoopRecorder`] — the default: every call is a no-op behind an
+//!   `enabled()` fast-gate, so uninstrumented runs pay nothing.
+//! * [`InMemoryRecorder`] — mutex-guarded aggregation, reported once as
+//!   a stable, hand-rolled JSON [`RunReport`] (no serde).
+//! * [`LiveRecorder`] — the lock-free, always-on registry (see [`live`]):
+//!   snapshot at any instant into the same [`RunReport`], windowed rates
+//!   and percentiles, Prometheus exposition.
+//! * [`TraceRecorder`] — a bounded ring of structured [`Event`]s
+//!   ([`Recorder::event`]) carrying per-trial context and logical
+//!   sequence numbers (see [`trace`]), exported as deterministic JSONL
+//!   and Chrome-trace/Perfetto JSON.
+//! * [`FanoutRecorder`] — forwards to several sinks behind one handle,
+//!   e.g. metrics and tracing together.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -119,22 +119,35 @@ enum Kind {
     Gauge = 3,
 }
 
-/// One thread-local cache entry: `(recorder id, kind, name ptr)` → slot.
-/// Recorder id and kind are packed into one word (`meta`) so a hit is
-/// two compares, not three.
+/// One thread-local cache entry: `(recorder id, kind, name ptr)` →
+/// where to write. Recorder id and kind are packed into one word
+/// (`meta`) so a hit is two compares, not three. `route` packs the slot
+/// with this thread's lane (`slot << 4 | lane << 1 | exclusive`), so a
+/// hit needs no other thread-local state.
 #[derive(Clone, Copy)]
 struct CacheEntry {
     ptr: *const u8,
     meta: u64,
-    slot: u16,
+    route: u32,
 }
 
 /// `meta` 0 never matches a live entry: recorder ids start at 1.
 const EMPTY_ENTRY: CacheEntry = CacheEntry {
     ptr: std::ptr::null(),
     meta: 0,
-    slot: 0,
+    route: 0,
 };
+
+/// Unpacks a cache entry's `route` into `(slot, lane, exclusive)`,
+/// masked so the compiler can prove table indexing in bounds.
+#[inline(always)]
+fn unpack_route(route: u32) -> (usize, usize, bool) {
+    (
+        (route >> 4) as usize & (SLOTS - 1),
+        (route >> 1) as usize & (SHARDS - 1),
+        route & 1 == 1,
+    )
+}
 
 /// Packs `(recorder id, kind)` into a cache `meta` word. Ids are
 /// sequential (from [`NEXT_RECORDER_ID`]) so the shift cannot overflow
@@ -143,10 +156,16 @@ fn cache_meta(rid: u64, kind: Kind) -> u64 {
     rid << 2 | kind as u64
 }
 
-/// Everything the record path needs from thread-local state, resolved
-/// in a single `with` call: the slot cache plus this thread's write
-/// lane. `lane` is packed as `index << 1 | exclusive`, `u32::MAX` until
-/// the thread first records.
+/// The cache way a `(kind, name ptr)` pair maps to.
+#[inline(always)]
+fn cache_way(kind: Kind, ptr: *const u8) -> usize {
+    (ptr as usize >> 3).wrapping_add(kind as usize) & (CACHE_WAYS - 1)
+}
+
+/// The record path's thread-local state: the slot cache plus this
+/// thread's write lane, packed as `index << 1 | exclusive` (`u32::MAX`
+/// until the thread first records). Only the cold path reads `lane`;
+/// cache entries carry a copy.
 struct RecorderTls {
     cache: [Cell<CacheEntry>; CACHE_WAYS],
     lane: Cell<u32>,
@@ -317,49 +336,82 @@ impl LiveRecorder {
         self.overflow.load(Ordering::Relaxed)
     }
 
-    /// Resolves `name` to `(slot, lane, exclusive)` in `kind`'s table in
-    /// one thread-local access: the slot from the calling thread's cache
-    /// (claiming a fresh table slot on first sight), the write lane from
-    /// the same TLS struct. `None` when the table is full. The slot is
-    /// masked so the compiler can prove table indexing in bounds.
+    /// The record path's steady state: resolves `name` to
+    /// `(slot, lane, exclusive)` in `kind`'s table with one thread-local
+    /// cache load, when this thread's cache knows the name. `None` sends
+    /// the caller to [`Self::resolve_cold`] (first record on this
+    /// thread, cache miss, full table), which the record methods reach
+    /// by a tail call: with nothing live across a call, the hot path
+    /// needs no callee-saved registers.
     ///
-    /// The TLS closure deliberately captures one integer and copies two
-    /// small values out: a fat capture would bloat the `LocalKey::with`
+    /// The TLS closure deliberately captures one integer and copies one
+    /// small value out: a fat capture would bloat the `LocalKey::with`
     /// instantiation past the inliner's budget and leave the whole
     /// record path behind an out-of-line call (measurably ~3x slower).
     #[inline(always)]
-    fn resolve(&self, kind: Kind, name: &'static str) -> Option<(usize, usize, bool)> {
+    fn resolve_hot(&self, kind: Kind, name: &'static str) -> Option<(usize, usize, bool)> {
         let ptr = name.as_ptr();
-        let way = (ptr as usize >> 3).wrapping_add(kind as usize) & (CACHE_WAYS - 1);
-        let meta = cache_meta(self.id, kind);
-        let (packed, cached) = TLS.with(|t| (t.lane.get(), t.cache[way].get()));
-        let packed = if packed == u32::MAX {
-            TLS.with(assign_lane)
-        } else {
-            packed
-        };
-        let lane = (packed >> 1) as usize & (SHARDS - 1);
-        let exclusive = packed & 1 == 1;
-        if std::ptr::eq(cached.ptr, ptr) && cached.meta == meta {
-            return Some((cached.slot as usize & (SLOTS - 1), lane, exclusive));
-        }
-        let slot = self.resolve_miss(kind, name, way, meta)?;
-        Some((slot, lane, exclusive))
+        let way = cache_way(kind, ptr);
+        let cached = TLS.with(|t| t.cache[way].get());
+        (std::ptr::eq(cached.ptr, ptr) && cached.meta == cache_meta(self.id, kind))
+            .then(|| unpack_route(cached.route))
     }
 
-    /// Cache-miss path: probe the table, then install the cache entry
-    /// with a second (cold) TLS access.
+    /// Everything [`Self::resolve_hot`] leaves out: assigns this
+    /// thread's write lane on its first record, probes the table and
+    /// installs the cache entry. `None` when the table is full.
     #[cold]
-    fn resolve_miss(&self, kind: Kind, name: &'static str, way: usize, meta: u64) -> Option<usize> {
-        let slot = self.resolve_slow(kind, name)?;
+    #[inline(never)]
+    fn resolve_cold(&self, kind: Kind, name: &'static str) -> Option<(usize, usize, bool)> {
+        let packed = TLS.with(|t| match t.lane.get() {
+            u32::MAX => assign_lane(t),
+            packed => packed,
+        });
+        let route = (self.resolve_slow(kind, name)? as u32) << 4 | packed;
         TLS.with(|t| {
-            t.cache[way].set(CacheEntry {
+            t.cache[cache_way(kind, name.as_ptr())].set(CacheEntry {
                 ptr: name.as_ptr(),
-                meta,
-                slot: slot as u16,
+                meta: cache_meta(self.id, kind),
+                route,
             });
         });
-        Some(slot & (SLOTS - 1))
+        Some(unpack_route(route))
+    }
+
+    /// [`Self::resolve_hot`], falling back to [`Self::resolve_cold`]
+    /// (for the gauge methods, which are not on a per-request hot path).
+    fn resolve(&self, kind: Kind, name: &'static str) -> Option<(usize, usize, bool)> {
+        self.resolve_hot(kind, name)
+            .or_else(|| self.resolve_cold(kind, name))
+    }
+
+    /// Bumps a resolved counter lane.
+    #[inline(always)]
+    fn count(&self, (slot, lane, exclusive): (usize, usize, bool), delta: u64) {
+        bump(&self.counters[slot].lanes[lane].0, delta, exclusive);
+    }
+
+    /// [`Recorder::add`] after a missed [`Self::resolve_hot`].
+    #[cold]
+    #[inline(never)]
+    fn add_cold(&self, name: &'static str, delta: u64) {
+        if let Some(route) = self.resolve_cold(Kind::Counter, name) {
+            self.count(route, delta);
+        }
+    }
+
+    /// [`Recorder::observe`] / [`Recorder::record_span`] after a missed
+    /// [`Self::resolve_hot`].
+    #[cold]
+    #[inline(never)]
+    fn record_series_cold(&self, kind: Kind, name: &'static str, value: u64) {
+        let table = match kind {
+            Kind::Span => &self.spans,
+            _ => &self.histograms,
+        };
+        if let Some((slot, lane, exclusive)) = self.resolve_cold(kind, name) {
+            Self::record_series(table, slot, lane, exclusive, value);
+        }
     }
 
     /// Open-addressed probe over the table's `OnceLock` names.
@@ -557,22 +609,29 @@ impl Recorder for LiveRecorder {
 
     #[inline]
     fn add(&self, name: &'static str, delta: u64) {
-        if let Some((slot, lane, exclusive)) = self.resolve(Kind::Counter, name) {
-            bump(&self.counters[slot].lanes[lane].0, delta, exclusive);
+        match self.resolve_hot(Kind::Counter, name) {
+            Some(route) => self.count(route, delta),
+            None => self.add_cold(name, delta),
         }
     }
 
     #[inline]
     fn observe(&self, name: &'static str, value: u64) {
-        if let Some((slot, lane, exclusive)) = self.resolve(Kind::Histogram, name) {
-            Self::record_series(&self.histograms, slot, lane, exclusive, value);
+        match self.resolve_hot(Kind::Histogram, name) {
+            Some((slot, lane, exclusive)) => {
+                Self::record_series(&self.histograms, slot, lane, exclusive, value);
+            }
+            None => self.record_series_cold(Kind::Histogram, name, value),
         }
     }
 
     #[inline]
     fn record_span(&self, name: &'static str, nanos: u64) {
-        if let Some((slot, lane, exclusive)) = self.resolve(Kind::Span, name) {
-            Self::record_series(&self.spans, slot, lane, exclusive, nanos);
+        match self.resolve_hot(Kind::Span, name) {
+            Some((slot, lane, exclusive)) => {
+                Self::record_series(&self.spans, slot, lane, exclusive, nanos);
+            }
+            None => self.record_series_cold(Kind::Span, name, nanos),
         }
     }
 

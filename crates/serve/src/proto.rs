@@ -39,9 +39,20 @@
 //! [`DiagnosticReport`](netdiagnoser::DiagnosticReport) JSON; `text` is
 //! its `Display` rendering, byte-identical to `netdiag diagnose` on the
 //! same inputs.
+//!
+//! A request line longer than [`MAX_REQUEST_BYTES`] gets one error
+//! response, and then the daemon closes the connection.
 
 use netdiag_obs::json::{parse, Json};
 use netdiagnoser::Algorithm;
+
+/// The longest request line the daemon accepts, not counting its
+/// newline. The largest request this repository's own clients send is a
+/// whole scenario directory upload (`netdiag-serve request` on a
+/// 10-sensor paper-scale scenario: after, before, sensors, feed, lg and
+/// ip2as texts), about 40 KB. 1 MiB leaves 25x headroom and bounds what
+/// one client can make the daemon buffer.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// One parsed client request.
 #[derive(Clone, Debug)]
@@ -251,6 +262,99 @@ pub fn push_json_string(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One well-formed line per op.
+    fn valid_requests() -> Vec<String> {
+        let job = DiagnoseJob {
+            algo: Algorithm::NdBgpIgp,
+            after: "path 0 1 failed\n*\n".into(),
+            feed: Some("withdraw 10.0.0.1 10.2.0.0/16\n".into()),
+            min_confidence: 0.5,
+            max_issues: 3,
+            explain: true,
+            ..Default::default()
+        };
+        vec![
+            r#"{"op":"ping","id":7}"#.into(),
+            r#"{"op":"stats","id":3,"prom":true,"window":30}"#.into(),
+            r#"{"op":"health","id":9}"#.into(),
+            r#"{"op":"shutdown","id":1}"#.into(),
+            write_diagnose_request(42, &job),
+        ]
+    }
+
+    /// Arbitrary bytes, lossily decoded as a socket line would be.
+    fn random_bytes() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any::<u8>(), 0..512)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+    }
+
+    /// Random strings over the JSON alphabet, which get past the first
+    /// byte far more often than arbitrary bytes do.
+    fn json_soup() -> impl Strategy<Value = String> {
+        const ALPHABET: &[u8] = b"{}[]\":,0123456789.eE-+ truefalsnop\\";
+        proptest::collection::vec(0..ALPHABET.len(), 0..256)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i] as char).collect())
+    }
+
+    /// A valid request cut short at any character boundary.
+    fn truncated_request() -> impl Strategy<Value = String> {
+        (0..valid_requests().len(), any::<usize>()).prop_map(|(which, cut)| {
+            let line = &valid_requests()[which];
+            let mut cut = cut % (line.len() + 1);
+            while !line.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            line[..cut].to_owned()
+        })
+    }
+
+    /// Open, nested-value and balanced nesting on both sides of the
+    /// parser's depth limit.
+    fn deep_nesting() -> impl Strategy<Value = String> {
+        (1usize..5000, 0usize..3).prop_map(|(depth, shape)| match shape {
+            0 => "[".repeat(depth),
+            1 => r#"{"op":"#.repeat(depth),
+            _ => format!("{}{}", "[".repeat(depth), "]".repeat(depth)),
+        })
+    }
+
+    /// Every numeric field with digit strings far past any integer or
+    /// float range.
+    fn huge_numbers() -> impl Strategy<Value = String> {
+        (1usize..400, 0usize..4, 0usize..5).prop_map(|(digits, field, form)| {
+            let d = "9".repeat(digits);
+            let num = match form {
+                0 => d,
+                1 => format!("-{d}"),
+                2 => format!("1e{d}"),
+                3 => format!("0.{d}"),
+                _ => format!("{d}e-{d}"),
+            };
+            let field = ["id", "window", "max_issues", "min_confidence"][field];
+            format!(r#"{{"op":"diagnose","after":"x","{field}":{num}}}"#)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The parser is total: any line yields `Ok` or an `Err` with a
+        /// message, never a panic.
+        #[test]
+        fn parse_request_is_total(line in prop_oneof![
+            random_bytes(),
+            json_soup(),
+            truncated_request(),
+            deep_nesting(),
+            huge_numbers(),
+        ]) {
+            if let Err(e) = parse_request(&line) {
+                prop_assert!(!e.is_empty(), "empty error for {line:?}");
+            }
+        }
+    }
 
     #[test]
     fn deeply_nested_request_is_an_error_not_an_abort() {

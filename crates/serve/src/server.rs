@@ -16,6 +16,7 @@
 //! restore, diagnose, render), and when a [`FlightRecorder`] is mounted,
 //! requests breaching the latency SLO dump their full causal trace.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -41,6 +42,7 @@ use crate::flight::{FlightRecorder, PhaseNanos};
 use crate::pool::WorkerPool;
 use crate::proto::{
     self, diagnose_response, error_response, ok_response, push_json_string, DiagnoseJob, Request,
+    MAX_REQUEST_BYTES,
 };
 
 /// Events each worker's always-on flight ring retains (ample for one
@@ -151,9 +153,10 @@ struct ServerCtx {
     flight: Option<Arc<FlightRecorder>>,
     started: Instant,
     bound: Bound,
-    /// Socket closers for every live connection; drained at shutdown to
-    /// unblock threads parked in client reads.
-    conns: Mutex<Vec<Conn>>,
+    /// Socket closers for every live connection, keyed by accept order;
+    /// each connection removes its own when it ends, and shutdown drains
+    /// the rest to unblock threads parked in client reads.
+    conns: Mutex<BTreeMap<u64, Conn>>,
     stop: AtomicBool,
     seq: AtomicU64,
     connections: AtomicU64,
@@ -244,7 +247,7 @@ impl Server {
             flight,
             started: Instant::now(),
             bound,
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(BTreeMap::new()),
             stop: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -279,8 +282,8 @@ impl Server {
 }
 
 fn accept_loop(listener: &Listener, ctx: &Arc<ServerCtx>) {
-    let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    loop {
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    for id in 0u64.. {
         let conn = match listener.accept() {
             Ok(conn) => conn,
             Err(_) => {
@@ -297,14 +300,29 @@ fn accept_loop(listener: &Listener, ctx: &Arc<ServerCtx>) {
             ctx.conns
                 .lock()
                 .expect("connection closer list mutex poisoned")
-                .push(closer);
+                .insert(id, closer);
         }
         let conn_ctx = Arc::clone(ctx);
-        let handle = std::thread::spawn(move || handle_connection(conn, &conn_ctx));
-        handlers
-            .lock()
-            .expect("connection handle list mutex poisoned")
-            .push(handle);
+        let handle = std::thread::spawn(move || {
+            handle_connection(conn, &conn_ctx);
+            // Drop this connection's closer so its socket closes now,
+            // not at daemon shutdown.
+            conn_ctx
+                .conns
+                .lock()
+                .expect("connection closer list mutex poisoned")
+                .remove(&id);
+        });
+        // Join the handlers of connections that already ended (each join
+        // returns at once); only live ones are left for shutdown.
+        let (ended, live): (Vec<_>, Vec<_>) = std::mem::take(&mut handlers)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        for ended in ended {
+            let _ = ended.join();
+        }
+        handlers = live;
+        handlers.push(handle);
     }
     // Force-close every live connection: threads parked in a client
     // read would otherwise keep the join below waiting forever.
@@ -313,17 +331,11 @@ fn accept_loop(listener: &Listener, ctx: &Arc<ServerCtx>) {
             .conns
             .lock()
             .expect("connection closer list mutex poisoned");
-        for conn in conns.drain(..) {
+        for conn in std::mem::take(&mut *conns).into_values() {
             conn.shutdown_both();
         }
     }
-    let joined: Vec<JoinHandle<()>> = {
-        let mut handlers = handlers
-            .lock()
-            .expect("connection handle list mutex poisoned");
-        handlers.drain(..).collect()
-    };
-    for handle in joined {
+    for handle in handlers {
         let _ = handle.join();
     }
     ctx.pool.shutdown();
@@ -338,13 +350,30 @@ fn handle_connection(conn: Conn, ctx: &Arc<ServerCtx>) {
     let Ok(read_half) = conn.try_clone() else {
         return;
     };
+    let mut reader = BufReader::new(read_half);
     let mut writer = conn;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that
+        // fits exactly.
+        let cap = MAX_REQUEST_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let over_long = buf.len() > MAX_REQUEST_BYTES && !buf.ends_with(b"\n");
+        let line = if over_long {
+            Err(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"))
+        } else {
+            std::str::from_utf8(&buf)
+                .map(str::trim)
+                .map_err(|_| "request line is not UTF-8".to_owned())
+        };
+        if line == Ok("") {
             continue;
         }
-        let (response, initiate_shutdown) = respond(&line, ctx);
+        let (response, initiate_shutdown) = respond(line, ctx);
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
@@ -361,18 +390,21 @@ fn handle_connection(conn: Conn, ctx: &Arc<ServerCtx>) {
             ctx.wake_accept();
             break;
         }
-        if ctx.stop.load(Ordering::SeqCst) {
+        // An over-long line is refused once, then the connection ends:
+        // skipping to its newline would let the client stream forever.
+        if over_long || ctx.stop.load(Ordering::SeqCst) {
             break;
         }
     }
 }
 
-/// Produces the response line for one request line; the boolean asks
-/// the connection loop to start daemon shutdown after writing it.
-fn respond(line: &str, ctx: &Arc<ServerCtx>) -> (String, bool) {
+/// Produces the response line for one request line (or the reason it
+/// could not be read); the boolean asks the connection loop to start
+/// daemon shutdown after writing it.
+fn respond(line: Result<&str, String>, ctx: &Arc<ServerCtx>) -> (String, bool) {
     ctx.requests.fetch_add(1, Ordering::Relaxed);
     ctx.recorder.add(names::SERVE_REQUESTS, 1);
-    let request = match proto::parse_request(line) {
+    let request = match line.and_then(proto::parse_request) {
         Ok(request) => request,
         Err(e) => {
             ctx.note_error();

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use netdiag_obs::json::{parse, Json};
-use netdiag_serve::proto::{write_diagnose_request, DiagnoseJob};
+use netdiag_serve::proto::{write_diagnose_request, DiagnoseJob, MAX_REQUEST_BYTES};
 use netdiag_serve::{Baseline, Client, Endpoint, ServeConfig, Server};
 use netdiagnoser::text::parse_snapshot;
 use netdiagnoser::{
@@ -214,6 +214,74 @@ fn bad_requests_get_structured_errors_and_the_daemon_survives() {
         parse(&pong).expect("JSON").get("pong"),
         Some(Json::Bool(true))
     ));
+    // A line one byte over the cap gets one error, then the daemon hangs
+    // up instead of buffering it.
+    let response = client
+        .request_line(&"x".repeat(MAX_REQUEST_BYTES + 1))
+        .expect("over-long line answered");
+    let v = parse(&response).expect("error response is JSON");
+    assert!(matches!(v.get("ok"), Some(Json::Bool(false))), "{response}");
+    assert!(v
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("error message")
+        .contains("exceeds"));
+    assert!(
+        client.request_line(r#"{"op":"ping","id":5}"#).is_err(),
+        "the connection is closed after an over-long line"
+    );
+    // A fresh connection finds the daemon ready.
+    let health = Client::connect_tcp(&addr)
+        .expect("client reconnects")
+        .request_line(r#"{"op":"health","id":6}"#)
+        .expect("health answered");
+    assert_eq!(
+        parse(&health)
+            .expect("JSON")
+            .get("health")
+            .and_then(Json::as_str),
+        Some("ready")
+    );
+    handle.stop();
+}
+
+/// Open descriptors of this process.
+#[cfg(target_os = "linux")]
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("procfs lists this process's descriptors")
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn one_shot_clients_leak_no_descriptors() {
+    // Descriptors the other tests in this binary may hold at any instant,
+    // plus handler threads still closing the last few connections.
+    const SLACK: usize = 64;
+    let (handle, _baseline, addr) = start_daemon();
+    let before = open_fds();
+    for id in 0..10_000u64 {
+        let mut client = Client::connect_tcp(&addr).expect("client connects");
+        let health = client
+            .request_line(&format!(r#"{{"op":"health","id":{id}}}"#))
+            .expect("health answered");
+        assert!(health.contains("ready"), "{health}");
+    }
+    // Handlers close their sockets just after the client hangs up; give
+    // the last ones a moment.
+    let mut after = open_fds();
+    for _ in 0..100 {
+        if after <= before + SLACK {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        after = open_fds();
+    }
+    assert!(
+        after <= before + SLACK,
+        "10,000 one-shot clients left {after} descriptors open (was {before})"
+    );
     handle.stop();
 }
 

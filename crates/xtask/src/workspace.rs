@@ -5,8 +5,8 @@
 //! `src/`, and the vendored dependency stubs for the `layering` pass
 //! only (stubs must stay leaf-only). Excluded by design: `src/bin/`
 //! (CLIs own the process — env args, wall-clock progress and stdout are
-//! their job), integration `tests/` and `benches/` (test code may
-//! unwrap), and the bench harness crate.
+//! their job) and integration `tests/` and `benches/` (test code may
+//! unwrap).
 
 use std::fs;
 use std::io;
