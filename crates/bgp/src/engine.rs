@@ -49,38 +49,29 @@ pub struct Ctx<'a> {
 /// Dense prefix id: index into the engine's sorted prefix table.
 type Pid = u32;
 
-/// Sentinel for "no link" in a stored route.
-const NO_LINK: u32 = u32::MAX;
 /// Sentinel for "no session" (locally originated) in a stored route.
 const NO_SESSION: u32 = u32::MAX;
 /// Path id of the empty AS path (always interned first).
 const PATH_EMPTY: u32 = 0;
 
-/// [`RouteSource`] packed into one byte for [`StoredRoute`].
-const SRC_ORIGINATED: u8 = 0;
-const SRC_CUSTOMER: u8 = 1;
-const SRC_PEER: u8 = 2;
-const SRC_PROVIDER: u8 = 3;
-
-fn pack_source(s: RouteSource) -> u8 {
-    match s {
-        RouteSource::Originated => SRC_ORIGINATED,
-        RouteSource::External(PeerKind::Customer) => SRC_CUSTOMER,
-        RouteSource::External(PeerKind::Peer) => SRC_PEER,
-        RouteSource::External(PeerKind::Provider) => SRC_PROVIDER,
-    }
-}
-
-fn unpack_source(v: u8) -> RouteSource {
-    match v {
-        SRC_ORIGINATED => RouteSource::Originated,
-        SRC_CUSTOMER => RouteSource::External(PeerKind::Customer),
-        SRC_PEER => RouteSource::External(PeerKind::Peer),
-        _ => RouteSource::External(PeerKind::Provider),
+/// Local preference of a route learned from `source`. Import sets the
+/// preference from the source alone, and iBGP carries the source along,
+/// so it is derived rather than stored.
+#[inline]
+fn pref_of(source: RouteSource) -> u32 {
+    match source {
+        RouteSource::Originated => LOCAL_PREF_ORIGINATED,
+        RouteSource::External(rel) => local_pref_for(rel),
     }
 }
 
 /// Interned AS paths, shared by every router of an engine.
+///
+/// Every path but the empty one (id [`PATH_EMPTY`]) is interned as a cons
+/// cell: its head AS prepended to an already-interned tail, which always
+/// has the smaller id. The reverse index is keyed by `(head, tail id)`,
+/// not by the full path, and since a path has exactly one such
+/// decomposition ids are the same as under full-path keying.
 ///
 /// Append-only: path ids stay valid for the lifetime of the pool, so a
 /// snapshot restored over a grown pool still resolves every id. Lives
@@ -89,17 +80,18 @@ fn unpack_source(v: u8) -> RouteSource {
 #[derive(Clone, Debug)]
 struct PathPool {
     /// Reverse index; point lookups only, never iterated.
-    ids: HashMap<AsPath, u32>,
+    ids: HashMap<(AsId, u32), u32>,
     paths: Vec<AsPath>,
+    /// Tail id of each path (`tails[id] < id`; unused for the empty path).
+    tails: Vec<u32>,
 }
 
 impl PathPool {
     fn new() -> Self {
-        let mut ids = HashMap::new();
-        ids.insert(AsPath::EMPTY, PATH_EMPTY);
         PathPool {
-            ids,
+            ids: HashMap::new(),
             paths: vec![AsPath::EMPTY],
+            tails: vec![PATH_EMPTY],
         }
     }
 
@@ -107,29 +99,37 @@ impl PathPool {
     fn get(&self, id: u32) -> &AsPath {
         &self.paths[id as usize]
     }
+
+    /// Interns path `tail` with `head` prepended (a new id).
+    fn push(&mut self, head: AsId, tail: u32) -> u32 {
+        let id = self.paths.len() as u32;
+        self.ids.insert((head, tail), id);
+        self.paths.push(self.paths[tail as usize].prepended(head));
+        self.tails.push(tail);
+        id
+    }
 }
 
-/// A route as stored in the flat RIBs: 24 bytes, every attribute either
-/// inline or derivable (`learned_from` peer = the session's other
-/// endpoint; the prefix = the pid of the slot it occupies).
+/// A route as stored in the flat RIBs: 16 bytes, every other attribute
+/// derivable (the exit link = the eBGP session's link; the local
+/// preference = [`pref_of`] the source; the `learned_from` peer = the
+/// session's other endpoint; the prefix = the pid of the slot it
+/// occupies). The `bool` leaves a niche, so `Option<StoredRoute>` is 16
+/// bytes too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct StoredRoute {
     /// Interned AS path ([`PathPool`] id).
     path: u32,
     /// Border router of the local AS where traffic exits.
     egress: RouterId,
-    /// Inter-domain exit link ([`NO_LINK`] unless eBGP-learned here).
-    link: u32,
     /// Session the route was learned on ([`NO_SESSION`] = originated).
     session: u32,
-    /// Relationship-derived local preference.
-    local_pref: u32,
     /// Cached AS-path length (decision-process hot read).
     path_len: u8,
-    /// Packed [`RouteSource`].
-    source: u8,
-    /// 1 when learned over eBGP at this router.
-    ebgp: u8,
+    /// How the route entered the local AS.
+    source: RouteSource,
+    /// True when learned over eBGP at this router.
+    ebgp: bool,
 }
 
 impl StoredRoute {
@@ -138,12 +138,10 @@ impl StoredRoute {
         StoredRoute {
             path: PATH_EMPTY,
             egress: at,
-            link: NO_LINK,
             session: NO_SESSION,
-            local_pref: LOCAL_PREF_ORIGINATED,
             path_len: 0,
-            source: SRC_ORIGINATED,
-            ebgp: 0,
+            source: RouteSource::Originated,
+            ebgp: false,
         }
     }
 }
@@ -153,7 +151,7 @@ impl StoredRoute {
 /// Valley-free exports mean a router hears a given prefix from only a
 /// handful of neighbors, so two slots live inline and the rare overflow
 /// spills to a boxed vector: the common path allocates nothing and the
-/// cell stays 64 bytes.
+/// cell stays 48 bytes.
 #[derive(Clone, Debug)]
 struct AdjCell {
     len: u32,
@@ -351,12 +349,10 @@ struct RouteMsg {
     pid: Pid,
     path: u32,
     path_len: u8,
-    /// iBGP-only: sender-assigned local preference.
-    local_pref: u32,
     /// iBGP-only: the egress border router.
     egress: RouterId,
-    /// iBGP-only: how the route entered the AS (packed).
-    source: u8,
+    /// iBGP-only: how the route entered the AS.
+    source: RouteSource,
 }
 
 /// Message payload.
@@ -372,10 +368,27 @@ enum Payload {
 #[derive(Clone, Copy, Debug)]
 struct Msg {
     session: SessionId,
-    from: RouterId,
     to: RouterId,
     payload: Payload,
 }
+
+impl Msg {
+    /// The sender: the session's other endpoint.
+    fn from(&self, sessions: &SessionTable) -> RouterId {
+        sessions
+            .get(self.session)
+            .other(self.to)
+            .expect("a message's receiver is a session endpoint")
+    }
+}
+
+// The layouts the RIB and queue memory budget rests on.
+const _: () = {
+    assert!(std::mem::size_of::<StoredRoute>() == 16);
+    assert!(std::mem::size_of::<Option<StoredRoute>>() == 16);
+    assert!(std::mem::size_of::<AdjCell>() == 48);
+    assert!(std::mem::size_of::<Msg>() == 24);
+};
 
 /// Kind of an observed message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -579,17 +592,14 @@ impl Bgp {
         self.prefixes.binary_search(prefix).ok().map(|i| i as u32)
     }
 
-    /// Interns `path`, returning its stable id. Breaks pool sharing only
-    /// when the path is genuinely new to this engine.
-    fn intern_path(&mut self, path: AsPath) -> u32 {
-        if let Some(&id) = self.paths.ids.get(&path) {
-            return id;
+    /// Interns path `tail` with `head` prepended, returning its stable
+    /// id. Breaks pool sharing only when the path is genuinely new to this
+    /// engine.
+    fn intern_path(&mut self, head: AsId, tail: u32) -> u32 {
+        match self.paths.ids.get(&(head, tail)) {
+            Some(&id) => id,
+            None => Arc::make_mut(&mut self.paths).push(head, tail),
         }
-        let pool = Arc::make_mut(&mut self.paths);
-        let id = pool.paths.len() as u32;
-        pool.ids.insert(path, id);
-        pool.paths.push(path);
-        id
     }
 
     /// Session liveness through the cache when present (one byte load on
@@ -679,8 +689,8 @@ impl Bgp {
     }
 
     /// Forces every router's state to be uniquely owned (a full deep copy),
-    /// detaching this engine from any sharing. Used to benchmark the cost
-    /// the CoW representation avoids.
+    /// detaching this engine from any sharing: the copy `Sim::deep_clone`
+    /// makes as the copy-on-write test oracle.
     pub fn unshare_all(&mut self) {
         for r in &mut self.routers {
             Arc::make_mut(r);
@@ -851,17 +861,18 @@ impl Bgp {
             total.messages += stats[k].messages;
             self.decisions += w.decisions;
             // Translate paths the worker interned after the fork point into
-            // this engine's pool, in shard order (deterministic).
-            let xlat: Vec<u32> = (base_paths..w.paths.paths.len())
-                .map(|id| self.intern_path(w.paths.paths[id]))
-                .collect();
-            let tr = move |id: u32| {
-                if (id as usize) < base_paths {
-                    id
-                } else {
-                    xlat[id as usize - base_paths]
-                }
+            // this engine's pool, in shard order (deterministic). A tail id
+            // is below its path's, so it is already translated.
+            let translate = |xlat: &[u32], id: u32| match (id as usize).checked_sub(base_paths) {
+                Some(i) => xlat[i],
+                None => id,
             };
+            let mut xlat: Vec<u32> = Vec::new();
+            for id in base_paths..w.paths.paths.len() {
+                let tail = translate(&xlat, w.paths.tails[id]);
+                xlat.push(self.intern_path(w.paths.paths[id][0], tail));
+            }
+            let tr = move |id: u32| translate(&xlat, id);
             let (lo, hi) = (bounds[k] as u32, bounds[k + 1] as u32);
             for (ri, arc) in w.routers.iter().enumerate() {
                 if Arc::as_ptr(arc) == base_arcs[ri] {
@@ -904,13 +915,22 @@ impl Bgp {
 
     /// Materializes a stored route into the public [`Route`] shape.
     fn materialize(&self, r: RouterId, pid: Pid, sr: StoredRoute) -> Route {
+        // An eBGP-learned route exits on the link its session rides.
+        let ebgp_link = if sr.ebgp {
+            match self.sessions.get(SessionId(sr.session)).kind {
+                SessionKind::Ebgp { link } => Some(link),
+                SessionKind::Ibgp => None,
+            }
+        } else {
+            None
+        };
         Route {
             prefix: self.prefixes[pid as usize],
             as_path: *self.paths.get(sr.path),
             egress: sr.egress,
-            ebgp_link: (sr.link != NO_LINK).then_some(LinkId(sr.link)),
-            local_pref: sr.local_pref,
-            source: unpack_source(sr.source),
+            ebgp_link,
+            local_pref: pref_of(sr.source),
+            source: sr.source,
             learned_from: (sr.session != NO_SESSION).then(|| {
                 let sid = SessionId(sr.session);
                 let peer = self
@@ -920,7 +940,7 @@ impl Bgp {
                     .expect("a stored session has the owning router as an endpoint");
                 (sid, peer)
             }),
-            ebgp_learned: sr.ebgp != 0,
+            ebgp_learned: sr.ebgp,
         }
     }
 
@@ -1212,7 +1232,7 @@ impl Bgp {
                     };
                     self.observed.push(ObservedMsg {
                         at: msg.to,
-                        from: msg.from,
+                        from: msg.from(&self.sessions),
                         from_as,
                         prefix: self.prefixes[pid as usize],
                         kind,
@@ -1231,7 +1251,7 @@ impl Bgp {
                 netdiag_obs::EventPayload::new()
                     .field("kind", msg_kind)
                     .field("session", if meta.ebgp { "ebgp" } else { "ibgp" })
-                    .field("from", msg.from.index())
+                    .field("from", msg.from(&self.sessions).index())
                     .field("to", msg.to.index())
                     .field("prefix", self.prefixes[pid as usize].to_string())
             });
@@ -1239,7 +1259,6 @@ impl Bgp {
 
         let Msg {
             session,
-            from: _,
             to,
             payload,
         } = msg;
@@ -1300,7 +1319,7 @@ impl Bgp {
     ) -> Option<StoredRoute> {
         let s = self.sessions.get(session);
         match s.kind {
-            SessionKind::Ebgp { link } => {
+            SessionKind::Ebgp { .. } => {
                 let (my_as, rel) = if to == s.a {
                     (meta.a_as, meta.rel_at_a)
                 } else {
@@ -1312,23 +1331,19 @@ impl Bgp {
                 Some(StoredRoute {
                     path: rm.path,
                     egress: to,
-                    link: link.0,
                     session: session.0,
-                    local_pref: local_pref_for(rel),
                     path_len: rm.path_len,
-                    source: pack_source(RouteSource::External(rel)),
-                    ebgp: 1,
+                    source: RouteSource::External(rel),
+                    ebgp: true,
                 })
             }
             SessionKind::Ibgp => Some(StoredRoute {
                 path: rm.path,
                 egress: rm.egress,
-                link: NO_LINK,
                 session: session.0,
-                local_pref: rm.local_pref,
                 path_len: rm.path_len,
                 source: rm.source,
-                ebgp: 0,
+                ebgp: false,
             }),
         }
     }
@@ -1347,7 +1362,7 @@ impl Bgp {
                 .iter()
                 .filter(|sr| {
                     self.sess_up(ctx, SessionId(sr.session))
-                        && (sr.ebgp != 0 || as_igp.reachable(r, sr.egress))
+                        && (sr.ebgp || as_igp.reachable(r, sr.egress))
                 })
                 .max_by_key(|sr| {
                     let igp_dist = if sr.egress == r {
@@ -1362,9 +1377,9 @@ impl Bgp {
                         .expect("a stored session has the owning router as an endpoint")
                         .0;
                     (
-                        sr.local_pref,
+                        pref_of(sr.source),
                         std::cmp::Reverse(sr.path_len),
-                        sr.ebgp != 0,
+                        sr.ebgp,
                         std::cmp::Reverse(igp_dist),
                         std::cmp::Reverse(neighbor),
                         std::cmp::Reverse(sr.session),
@@ -1417,7 +1432,6 @@ impl Bgp {
                     }
                     self.queue.push_back(Msg {
                         session: sid,
-                        from: r,
                         to: peer,
                         payload: Payload::Update(rm),
                     });
@@ -1430,7 +1444,6 @@ impl Bgp {
                         .remove(pid);
                     self.queue.push_back(Msg {
                         session: sid,
-                        from: r,
                         to: peer,
                         payload: Payload::Withdraw(pid),
                     });
@@ -1456,14 +1469,13 @@ impl Bgp {
         if !meta.ebgp {
             // Standard iBGP: only eBGP-learned and originated routes are
             // re-advertised internally (no reflection of iBGP routes).
-            if !(b.ebgp != 0 || b.source == SRC_ORIGINATED) {
+            if !(b.ebgp || b.source == RouteSource::Originated) {
                 return None;
             }
             return Some(RouteMsg {
                 pid,
                 path: b.path,
                 path_len: b.path_len,
-                local_pref: b.local_pref,
                 egress: r,
                 source: b.source,
             });
@@ -1473,7 +1485,7 @@ impl Bgp {
         } else {
             (meta.b_as, meta.a_as, meta.rel_at_b)
         };
-        if !unpack_source(b.source).exportable_to(rel) {
+        if !b.source.exportable_to(rel) {
             return None;
         }
         if self.paths.get(b.path).contains(&peer_as) {
@@ -1488,8 +1500,7 @@ impl Bgp {
         let (path, path_len) = match *prepended {
             Some(v) => v,
             None => {
-                let new_path = self.paths.get(b.path).prepended(my_as);
-                let v = (self.intern_path(new_path), b.path_len + 1);
+                let v = (self.intern_path(my_as, b.path), b.path_len + 1);
                 *prepended = Some(v);
                 v
             }
@@ -1498,7 +1509,6 @@ impl Bgp {
             pid,
             path,
             path_len,
-            local_pref: 0,
             egress: r,
             source: b.source,
         })
@@ -1557,5 +1567,47 @@ fn session_kind_str(kind: SessionKind) -> &'static str {
     match kind {
         SessionKind::Ebgp { .. } => "ebgp",
         SessionKind::Ibgp => "ibgp",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netdiag_topology::{AsKind, TopologyBuilder};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Cons-keyed interning assigns the ids, and stores the paths, a
+        /// pool keyed by the full `AsPath` would: each op prepends a head
+        /// AS to an already-interned tail, and heads come from a small
+        /// range so paths recur.
+        #[test]
+        fn cons_interning_matches_a_full_path_oracle(
+            ops in proptest::collection::vec((any::<usize>(), 0u32..6), 1..300),
+        ) {
+            let mut b = TopologyBuilder::new();
+            let a = b.add_as(AsKind::Stub, "A");
+            b.add_router(a, "a1");
+            let mut bgp = Bgp::new(&b.build().unwrap());
+            let mut oracle: HashMap<AsPath, u32> = HashMap::from([(AsPath::EMPTY, PATH_EMPTY)]);
+            let mut oracle_paths = vec![AsPath::EMPTY];
+            for (pick, head) in ops {
+                let tail = (pick % oracle_paths.len()) as u32;
+                let path = oracle_paths[tail as usize];
+                if path.len() == AsPath::MAX {
+                    continue;
+                }
+                let path = path.prepended(AsId(head));
+                let want = *oracle.entry(path).or_insert_with(|| {
+                    oracle_paths.push(path);
+                    oracle_paths.len() as u32 - 1
+                });
+                prop_assert_eq!(bgp.intern_path(AsId(head), tail), want);
+            }
+            prop_assert_eq!(&bgp.paths.paths, &oracle_paths);
+            for (id, &tail) in bgp.paths.tails.iter().enumerate().skip(1) {
+                prop_assert!((tail as usize) < id, "tail {tail} of path {id}");
+            }
+        }
     }
 }

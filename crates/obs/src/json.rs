@@ -366,4 +366,150 @@ mod tests {
             Some(3)
         );
     }
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use std::fmt::Write as _;
+
+        /// Characters that exercise every escape, control and multi-byte
+        /// path of the string reader.
+        const CHARS: [char; 14] = [
+            'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{7f}', 'é', '€', '😀',
+        ];
+
+        /// A short string drawn from [`CHARS`] by the bits of `n`.
+        fn string_from(n: u32) -> String {
+            (0..n % 5)
+                .map(|k| CHARS[(n >> (4 * k)) as usize % CHARS.len()])
+                .collect()
+        }
+
+        /// Builds a value tree from a stream of draws, at most six levels
+        /// deep; an exhausted stream ends in `null`.
+        fn build(draws: &mut impl Iterator<Item = u32>, depth: usize) -> Json {
+            let Some(n) = draws.next() else {
+                return Json::Null;
+            };
+            let width = n / 7 % 4;
+            match n % 7 {
+                0 => Json::Null,
+                1 => Json::Bool(n & 8 != 0),
+                // Sixty-fourths are exact in f64, so Display round-trips.
+                2 => Json::Num(f64::from(n as i32) / 64.0),
+                3 => Json::Str(string_from(n / 7)),
+                4 if depth < 6 => Json::Arr((0..width).map(|_| build(draws, depth + 1)).collect()),
+                5 if depth < 6 => Json::Obj(
+                    (0..width)
+                        .map(|i| (string_from(n.rotate_left(i)), build(draws, depth + 1)))
+                        .collect(),
+                ),
+                _ => Json::Num(f64::from(n / 7)),
+            }
+        }
+
+        /// Renders a value in the workspace's serializer style.
+        fn render(v: &Json, out: &mut String) {
+            match v {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Num(n) => {
+                    let _ = write!(out, "{n}");
+                }
+                Json::Str(s) => crate::push_json_string(out, s),
+                Json::Arr(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        render(item, out);
+                    }
+                    out.push(']');
+                }
+                Json::Obj(fields) => {
+                    out.push('{');
+                    for (i, (k, item)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        crate::push_json_string(out, k);
+                        out.push(':');
+                        render(item, out);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        fn arb_json() -> impl Strategy<Value = Json> {
+            proptest::collection::vec(any::<u32>(), 1..64)
+                .prop_map(|draws| build(&mut draws.into_iter(), 0))
+        }
+
+        fn rendered(v: &Json) -> String {
+            let mut out = String::new();
+            render(v, &mut out);
+            out
+        }
+
+        /// A rendered document cut short at any character boundary.
+        fn truncated() -> impl Strategy<Value = String> {
+            (arb_json(), any::<usize>()).prop_map(|(v, cut)| {
+                let doc = rendered(&v);
+                let mut cut = cut % (doc.len() + 1);
+                while !doc.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                doc[..cut].to_owned()
+            })
+        }
+
+        /// Arbitrary bytes, lossily decoded as a socket line would be.
+        fn random_bytes() -> impl Strategy<Value = String> {
+            proptest::collection::vec(any::<u8>(), 0..512)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+        }
+
+        /// Random strings over the JSON alphabet.
+        fn json_soup() -> impl Strategy<Value = String> {
+            const ALPHABET: &[u8] = b"{}[]\":,0123456789.eE-+ truefalsn\\u";
+            proptest::collection::vec(0..ALPHABET.len(), 0..256)
+                .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i] as char).collect())
+        }
+
+        /// Open, keyed and balanced nesting on both sides of the limit.
+        fn deep_nesting() -> impl Strategy<Value = String> {
+            (1usize..2000, 0usize..3).prop_map(|(depth, shape)| match shape {
+                0 => "[".repeat(depth),
+                1 => r#"{"a":"#.repeat(depth),
+                _ => format!("{}{}", "[".repeat(depth), "]".repeat(depth)),
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The parser is total: any input yields `Ok` or an `Err`
+            /// with a message, never a panic.
+            #[test]
+            fn parse_is_total(src in prop_oneof![
+                random_bytes(),
+                json_soup(),
+                truncated(),
+                deep_nesting(),
+            ]) {
+                if let Err(e) = parse(&src) {
+                    prop_assert!(!e.is_empty(), "empty error for {src:?}");
+                }
+            }
+
+            /// A rendered value parses back to itself.
+            #[test]
+            fn rendered_values_round_trip(v in arb_json()) {
+                let doc = rendered(&v);
+                prop_assert_eq!(parse(&doc), Ok(v), "{}", doc);
+            }
+        }
+    }
 }

@@ -99,6 +99,38 @@ serve request --connect "$addr" --dir "$tracedir/scn" --algo nd-bgpigp \
 netdiag diagnose --dir "$tracedir/scn" --algo nd-bgpigp \
     | sed '/^--- ground truth/,$d' > "$servedir/batch.txt"
 diff -u "$servedir/batch.txt" "$servedir/daemon.txt"
+# Hostile input: an over-long line, a line nested past the JSON depth
+# limit, a non-UTF-8 line and a truncated object, one connection each.
+# Each must be refused with an error line (or, for the over-long line, a
+# closed connection) and leave the daemon serving: the stats check below
+# must still read `health ready`.
+python3 - "$addr" <<'PY'
+import socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+lines = {
+    "2 MiB line": b"x" * (2 << 20),
+    "100k-deep nesting": b"[" * 100_000,
+    "non-UTF-8": b'\xff\xfe{"op":"ping"}',
+    "truncated object": b'{"op":"diagnose","after":"path 0 1',
+}
+for name, line in lines.items():
+    with socket.create_connection((host, int(port)), timeout=30) as s:
+        try:
+            s.sendall(line + b"\n")
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # refused mid-send: the daemon stopped reading the line
+        reply = b""
+        try:
+            while not reply.endswith(b"\n"):
+                chunk = s.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    assert name == "2 MiB line" or b'"ok":false' in reply, f"{name}: {reply!r}"
+    print(f"hostile {name}: {reply.decode(errors='replace').strip() or 'connection closed'}")
+PY
 # Live telemetry plane: the stats verb reports a ready daemon whose
 # request counter advanced past the diagnoses above, and the Prometheus
 # rendering exposes the same registry.
