@@ -592,6 +592,13 @@ impl Bgp {
         self.prefixes.binary_search(prefix).ok().map(|i| i as u32)
     }
 
+    /// The pid of `as_id`'s prefix; panics when it is outside the
+    /// engine's prefix space (see [`Bgp::originate_as`]).
+    fn origin_pid(&self, topology: &Topology, as_id: AsId) -> Pid {
+        self.pid_of(&topology.as_node(as_id).prefix)
+            .expect("originated AS outside the engine's prefix space")
+    }
+
     /// Interns path `tail` with `head` prepended, returning its stable
     /// id. Breaks pool sharing only when the path is genuinely new to this
     /// engine.
@@ -738,9 +745,7 @@ impl Bgp {
     /// i.e. the engine was built by [`Bgp::with_origins`] without it.
     pub fn originate_as(&mut self, ctx: Ctx<'_>, as_id: AsId) {
         let asn = ctx.topology.as_node(as_id);
-        let pid = self
-            .pid_of(&asn.prefix)
-            .expect("originated AS outside the engine's prefix space");
+        let pid = self.origin_pid(ctx.topology, as_id);
         let originators: Vec<RouterId> = asn
             .routers
             .iter()
@@ -770,18 +775,32 @@ impl Bgp {
     /// Panics if the safety cap is exceeded (policy dispute — cannot happen
     /// with the Gao-Rexford policies this workspace generates).
     pub fn run(&mut self, ctx: Ctx<'_>) -> RunStats {
-        let mut stats = RunStats::default();
+        let messages = self.drain(ctx, 0);
+        self.flush_counters(messages)
+    }
+
+    /// Delivers queued messages to quiescence and returns `delivered` plus
+    /// their count. `delivered` counts the messages an enclosing
+    /// convergence already delivered, so the safety cap bounds the whole
+    /// convergence, not one drain.
+    // hot
+    fn drain(&mut self, ctx: Ctx<'_>, mut delivered: u64) -> u64 {
         while let Some(msg) = self.queue.pop_front() {
-            stats.messages += 1;
+            delivered += 1;
             assert!(
-                stats.messages <= self.msg_cap,
+                delivered <= self.msg_cap,
                 "BGP did not converge: policy dispute?"
             );
             self.deliver(ctx, msg);
         }
+        delivered
+    }
+
+    /// Flushes the batched `bgp.*` counters for one finished run.
+    fn flush_counters(&mut self, messages: u64) -> RunStats {
         if self.recorder.enabled() {
             self.recorder.add(names::BGP_RUNS, 1);
-            self.recorder.add(names::BGP_MSGS, stats.messages);
+            self.recorder.add(names::BGP_MSGS, messages);
             self.recorder.add(names::BGP_DECISIONS, self.decisions);
             self.decisions = 0;
             if self.cow_breaks > 0 {
@@ -795,38 +814,69 @@ impl Bgp {
                 self.replay_prefixes = 0;
             }
         }
-        stats
+        RunStats { messages }
     }
 
-    /// [`Bgp::run`] with the message plane partitioned by prefix across
-    /// `threads` workers. Callers must check [`Bgp::can_shard`] first.
+    /// Originates the prefixes of `origins` and converges, as one run.
     ///
-    /// Routing toward one prefix never reads another prefix's state in
-    /// this model, so the queued messages are split into contiguous pid
-    /// ranges, each range converges in an independent copy-on-write fork
-    /// of the engine, and the forks' pid columns are merged back (with
-    /// path-pool translation) in shard order. The merged fixed point is
-    /// byte-identical to the sequential run's — per-prefix state is
-    /// disjoint, and each shard's FIFO order equals the sequential
-    /// delivery order restricted to its own prefixes — and the total
+    /// When the delivery order is unobservable ([`Bgp::can_shard`]), each
+    /// origin converges to quiescence before the next is originated, in
+    /// ascending pid order: the queue holds one prefix's in-flight
+    /// messages and each drain touches one pid column of the RIBs. A
+    /// prefix's messages are enqueued only by its origination or by the
+    /// delivery of its own messages, and routing toward one prefix never
+    /// reads another's state, so they are delivered in the same relative
+    /// order as in one interleaved FIFO. The RIBs and the message and
+    /// decision counts are therefore the same; only path-pool ids, which
+    /// no route exposes, may differ. An observer tap or a tracer records
+    /// the interleaved order, so with either attached every origin is
+    /// originated first and one FIFO drains them all.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Bgp::originate_as`] and [`Bgp::run`] do; the safety cap
+    /// bounds the messages of the whole convergence.
+    pub fn converge(&mut self, ctx: Ctx<'_>, origins: &[AsId]) -> RunStats {
+        if !self.can_shard() {
+            for &a in origins {
+                self.originate_as(ctx, a);
+            }
+            return self.run(ctx);
+        }
+        let mut origins = origins.to_vec();
+        origins.sort_by_key(|&a| self.origin_pid(ctx.topology, a));
+        let mut messages = 0;
+        for a in origins {
+            self.originate_as(ctx, a);
+            messages = self.drain(ctx, messages);
+        }
+        self.flush_counters(messages)
+    }
+
+    /// [`Bgp::converge`] with the origins partitioned by prefix across
+    /// `threads` workers; plain [`Bgp::converge`] when `threads <= 1`, or
+    /// when [`Bgp::can_shard`] says the delivery order is observable (it
+    /// then keeps the interleaved order).
+    ///
+    /// The pid space is split into contiguous ranges, and each worker runs
+    /// the prefix-at-a-time [`Bgp::converge`] over the origins in its own
+    /// range in an independent copy-on-write fork of the engine. The
+    /// forks' pid columns are then merged back (with path-pool
+    /// translation) in shard order. Per-prefix state is disjoint, so the
+    /// merged fixed point is the one-thread convergence's and the total
     /// message count matches exactly.
-    pub fn run_sharded(&mut self, ctx: Ctx<'_>, threads: usize) -> RunStats {
-        assert!(self.can_shard(), "sharding is gated by Bgp::can_shard");
+    pub fn run_sharded(&mut self, ctx: Ctx<'_>, origins: &[AsId], threads: usize) -> RunStats {
         let n_prefixes = self.prefixes.len();
         let threads = threads.clamp(1, n_prefixes.max(1));
-        if threads <= 1 {
-            return self.run(ctx);
+        if threads <= 1 || !self.can_shard() {
+            return self.converge(ctx, origins);
         }
         // Contiguous pid ranges: shard k owns [bounds[k], bounds[k + 1]).
         let bounds: Vec<usize> = (0..=threads).map(|i| i * n_prefixes / threads).collect();
-        let shard_of = |pid: Pid| bounds.partition_point(|&b| b <= pid as usize) - 1;
-        let mut queues: Vec<VecDeque<Msg>> = vec![VecDeque::new(); threads];
-        for msg in self.queue.drain(..) {
-            let pid = match msg.payload {
-                Payload::Update(rm) => rm.pid,
-                Payload::Withdraw(pid) => pid,
-            };
-            queues[shard_of(pid)].push_back(msg);
+        let mut shards: Vec<Vec<AsId>> = vec![Vec::new(); threads];
+        for &a in origins {
+            let pid = self.origin_pid(ctx.topology, a) as usize;
+            shards[bounds.partition_point(|&b| b <= pid) - 1].push(a);
         }
         let base_paths = self.paths.paths.len();
         // Pre-fork state pointers: a worker whose router Arc still matches
@@ -834,31 +884,28 @@ impl Bgp {
         // (comparing against `self`'s current Arcs would not work — merging
         // an earlier shard already replaces them).
         let base_arcs: Vec<*const RouterState> = self.routers.iter().map(Arc::as_ptr).collect();
-        let mut workers: Vec<Bgp> = queues
-            .into_iter()
-            .map(|queue| {
+        let mut workers: Vec<Bgp> = (0..threads)
+            .map(|_| {
                 let mut w = self.clone();
-                w.queue = queue;
-                // Counters merge back explicitly below; workers must not
+                // Decisions merge back explicitly below; workers must not
                 // flush them to the shared recorder mid-run.
                 w.recorder = RecorderHandle::noop();
-                w.trace_on = false;
+                w.decisions = 0;
                 w
             })
             .collect();
-        let stats: Vec<RunStats> = std::thread::scope(|scope| {
+        let messages: u64 = std::thread::scope(|scope| {
             let handles: Vec<_> = workers
                 .iter_mut()
-                .map(|w| scope.spawn(move || w.run(ctx)))
+                .zip(&shards)
+                .map(|(w, shard)| scope.spawn(move || w.converge(ctx, shard)))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("BGP shard worker panicked"))
-                .collect()
+                .map(|h| h.join().expect("BGP shard worker panicked").messages)
+                .sum()
         });
-        let mut total = RunStats::default();
         for (k, w) in workers.into_iter().enumerate() {
-            total.messages += stats[k].messages;
             self.decisions += w.decisions;
             // Translate paths the worker interned after the fork point into
             // this engine's pool, in shard order (deterministic). A tail id
@@ -881,6 +928,10 @@ impl Bgp {
                 let src = Arc::clone(arc);
                 let dst = self.state_mut(RouterId(ri as u32));
                 for pid in lo..hi {
+                    // A worker only ever adds origination marks.
+                    if src.originated.contains(&pid) {
+                        dst.originated.insert(pid);
+                    }
                     let mut cell = src.adj_in[pid as usize].clone();
                     cell.map_paths(&tr);
                     dst.adj_in[pid as usize] = cell;
@@ -899,18 +950,7 @@ impl Bgp {
                 );
             }
         }
-        if self.recorder.enabled() {
-            self.recorder.add(names::BGP_RUNS, 1);
-            self.recorder.add(names::BGP_MSGS, total.messages);
-            self.recorder.add(names::BGP_DECISIONS, self.decisions);
-            self.decisions = 0;
-            if self.cow_breaks > 0 {
-                self.recorder
-                    .add(names::SIM_SNAPSHOT_COW_BREAKS, self.cow_breaks);
-                self.cow_breaks = 0;
-            }
-        }
-        total
+        self.flush_counters(messages)
     }
 
     /// Materializes a stored route into the public [`Route`] shape.

@@ -583,11 +583,7 @@ fn gen_cmd(args: Vec<String>) -> ExitCode {
             netdiag_netsim::Sim::new(topology)
         };
         let t1 = std::time::Instant::now();
-        if threads > 1 {
-            sim.converge_all_sharded(threads);
-        } else {
-            sim.converge_all();
-        }
+        sim.converge_all_sharded(threads);
         let converge_ms = t1.elapsed().as_secs_f64() * 1e3;
         // Full-RIB check: every router must hold a route to every prefix.
         let topology = sim.topology();

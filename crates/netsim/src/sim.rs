@@ -188,11 +188,18 @@ impl Sim {
         copy
     }
 
-    /// Originates the prefixes of the given ASes and converges.
+    /// Originates the prefixes of the given ASes and converges
+    /// ([`Bgp::converge`]).
     ///
-    /// Routing toward a prefix is independent of other prefixes in this
-    /// model, so experiments only need the sensor ASes' prefixes (and can
-    /// build the simulator with [`Sim::with_origins`] scoped to them).
+    /// Without an observer or tracer the prefixes converge one at a time,
+    /// in ascending prefix order, so the message queue holds one prefix's
+    /// in-flight messages. Routing toward a prefix is independent of other
+    /// prefixes in this model, so that reaches the same RIBs with the same
+    /// message count as one interleaved FIFO, which is the order kept when
+    /// an observer or tracer is attached (both record it). The same
+    /// independence lets experiments originate only the sensor ASes'
+    /// prefixes (and build the simulator with [`Sim::with_origins`] scoped
+    /// to them).
     ///
     /// # Panics
     ///
@@ -204,41 +211,33 @@ impl Sim {
             igp: &self.igp,
             links: &self.links,
         };
-        for &a in ases {
-            self.bgp.originate_as(ctx, a);
-        }
-        self.messages += self.bgp.run(ctx).messages;
+        self.messages += self.bgp.converge(ctx, ases).messages;
     }
 
     /// Originates every AS's prefix and converges (on a simulator with the
-    /// full prefix space; see the panics of [`Sim::converge_for`]).
+    /// full prefix space; see the panics of [`Sim::converge_for`]): the
+    /// one-thread case of [`Sim::converge_all_sharded`].
     pub fn converge_all(&mut self) {
-        let ids: Vec<AsId> = self.topology.ases().iter().map(|a| a.id).collect();
-        self.converge_for(&ids);
+        self.converge_all_sharded(1);
     }
 
-    /// [`Sim::converge_all`] with the BGP message plane sharded over a
-    /// worker pool. Routing toward one prefix never reads another
-    /// prefix's state in this model, so partitioning the prefix space
-    /// and converging each shard independently reaches the same fixed
-    /// point as the sequential run — asserted byte-identical by the
-    /// equivalence tests. Falls back to the sequential path when
-    /// `threads <= 1` or when an observer / tracer is attached (their
-    /// event streams are defined by the sequential delivery order).
+    /// [`Sim::converge_all`] with the prefix space split over `threads`
+    /// workers ([`Bgp::run_sharded`]), each converging its own prefixes
+    /// one at a time as [`Sim::converge_for`] does. Routing toward one
+    /// prefix never reads another prefix's state in this model, so every
+    /// thread count reaches the same fixed point with the same message
+    /// count, asserted by the equivalence tests. With `threads <= 1`, or
+    /// with an observer / tracer attached (their event streams are
+    /// defined by the interleaved delivery order), this is
+    /// [`Sim::converge_for`] over every AS.
     pub fn converge_all_sharded(&mut self, threads: usize) {
-        if threads <= 1 || !self.bgp.can_shard() {
-            self.converge_all();
-            return;
-        }
+        let ids: Vec<AsId> = self.topology.ases().iter().map(|a| a.id).collect();
         let ctx = Ctx {
             topology: &self.topology,
             igp: &self.igp,
             links: &self.links,
         };
-        for a in self.topology.ases() {
-            self.bgp.originate_as(ctx, a.id);
-        }
-        self.messages += self.bgp.run_sharded(ctx, threads).messages;
+        self.messages += self.bgp.run_sharded(ctx, &ids, threads).messages;
     }
 
     /// Designates the observer AS (AS-X) whose received eBGP messages are

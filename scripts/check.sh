@@ -44,20 +44,24 @@ echo "== trial pool smoke (netdiag trials --threads) =="
 cargo run -q --release -p netdiag-experiments --bin netdiag -- \
     trials --placements 2 --failures 2 --threads 2
 
-echo "== internet-scale smoke (netdiag gen -> parallel converge, 1k ASes) =="
-# Exercises the generator, the parallel-IGP construction and the sharded
-# BGP message plane end to end, and asserts the RIB is full (every
-# router holds a route to every AS's prefix). The message count is the
-# deterministic sequential engine's, which the sharded total must equal.
-gen_json="$(cargo run -q --release -p netdiag-experiments --bin netdiag -- \
-    gen --ases 1000 --seed 1 --converge --threads 2 --json)"
-python3 - "$gen_json" <<'PY'
+echo "== internet-scale smoke (netdiag gen -> converge, 1k ASes, 1 and 2 threads) =="
+# Exercises the generator, the IGP construction and the BGP message
+# plane end to end, on the one-thread prefix-at-a-time path and on the
+# parallel-IGP + sharded path, and asserts the RIB is full (every router
+# holds a route to every AS's prefix). Both must deliver the pinned,
+# deterministic message count.
+for threads in 1 2; do
+    gen_json="$(cargo run -q --release -p netdiag-experiments --bin netdiag -- \
+        gen --ases 1000 --seed 1 --converge --threads "$threads" --json)"
+    python3 - "$gen_json" <<'PY'
 import json, sys
 r = json.loads(sys.argv[1])
 assert r["rib_routes"] == r["routers"] * r["ases"], f"partial RIB: {r}"
 assert r["messages"] == 1684843, f"determinism broken: {r['messages']} messages, pinned 1684843"
-print(f"full RIB: {r['rib_routes']} routes, {r['messages']} messages in {r['converge_ms']:.0f}ms")
+print(f"{r['threads']} thread(s): full RIB, {r['rib_routes']} routes, "
+      f"{r['messages']} messages in {r['converge_ms']:.0f}ms")
 PY
+done
 
 echo "== trace smoke (simulate -> diagnose --trace -> explain) =="
 tracedir="$(mktemp -d)"
