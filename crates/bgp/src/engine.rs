@@ -1,7 +1,9 @@
 //! The message-driven BGP convergence engine.
 //!
-//! Routers exchange `Update`/`Withdraw` messages over the session table;
-//! messages are processed strictly FIFO, so every run is deterministic.
+//! Routers exchange `Update`/`Withdraw` messages over the session table.
+//! Every drain delivers them one prefix at a time, in ascending prefix
+//! order and FIFO within a prefix ([`Bgp::run`]), so every run is
+//! deterministic.
 //! The engine supports incremental reconvergence after link failures and
 //! export-filter (misconfiguration) changes, and can record every eBGP
 //! message *received by one designated observer AS* — the control-plane feed
@@ -373,6 +375,15 @@ struct Msg {
 }
 
 impl Msg {
+    /// The prefix the message concerns.
+    #[inline]
+    fn pid(&self) -> Pid {
+        match self.payload {
+            Payload::Update(rm) => rm.pid,
+            Payload::Withdraw(pid) => pid,
+        }
+    }
+
     /// The sender: the session's other endpoint.
     fn from(&self, sessions: &SessionTable) -> RouterId {
         sessions
@@ -399,7 +410,8 @@ pub enum ObservedKind {
     Withdraw,
 }
 
-/// An eBGP message received by a router of the observer AS.
+/// An eBGP message received by a router of the observer AS. Its position
+/// in [`Bgp::take_observed`]'s vector is its delivery order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObservedMsg {
     /// Receiving router (inside the observer AS).
@@ -412,8 +424,6 @@ pub struct ObservedMsg {
     pub prefix: Prefix,
     /// Update or withdraw.
     pub kind: ObservedKind,
-    /// Monotonic sequence number (delivery order).
-    pub seq: u64,
 }
 
 /// Per-router BGP state, flat over the dense prefix space.
@@ -455,9 +465,10 @@ pub struct RunStats {
     pub messages: u64,
 }
 
-/// Base safety cap on processed messages per `run` (a correct
-/// configuration converges far below this; hitting it indicates a policy
-/// dispute loop). Scaled with topology size at engine construction.
+/// Base safety cap on the messages one [`Bgp::run`] or one whole
+/// [`Bgp::converge`] may deliver (a correct configuration converges far
+/// below this; hitting it indicates a policy dispute loop). Scaled with
+/// topology size at engine construction.
 const MAX_MESSAGES_PER_RUN: u64 = 200_000_000;
 
 /// The BGP simulator for a whole topology.
@@ -483,7 +494,6 @@ pub struct Bgp {
     queue: VecDeque<Msg>,
     observer: Option<AsId>,
     observed: Vec<ObservedMsg>,
-    seq: u64,
     recorder: RecorderHandle,
     /// Cached `recorder.trace_enabled()` so the per-message event gate is
     /// one branch, not a virtual call (set in [`Bgp::set_recorder`]).
@@ -575,7 +585,6 @@ impl Bgp {
             queue: VecDeque::new(),
             observer: None,
             observed: Vec::new(),
-            seq: 0,
             recorder: RecorderHandle::noop(),
             trace_on: false,
             decisions: 0,
@@ -721,15 +730,6 @@ impl Bgp {
         std::mem::take(&mut self.observed)
     }
 
-    /// Whether a sharded run would be observationally equivalent to the
-    /// sequential one. The final RIBs always are (per-prefix
-    /// independence), but the observer tap and the trace recorder expose
-    /// the sequential delivery *order*, so sharding is gated off while
-    /// either is attached.
-    pub fn can_shard(&self) -> bool {
-        self.observer.is_none() && !self.trace_on
-    }
-
     /// Currently installed export filters.
     pub fn filters(&self) -> &ExportFilters {
         &self.filters
@@ -768,7 +768,19 @@ impl Bgp {
         }
     }
 
-    /// Processes queued messages to quiescence.
+    /// Delivers queued messages to quiescence, one prefix at a time.
+    ///
+    /// The queue is stably partitioned by prefix. Each prefix's messages,
+    /// and every message their delivery triggers, are delivered FIFO
+    /// before the next prefix's, in ascending prefix order. Session
+    /// liveness, IGP state and export filters are fixed for the whole
+    /// drain, a prefix's messages are enqueued only by its origination or
+    /// by the delivery of its own messages, and routing toward one prefix
+    /// never reads another's state. So every prefix sees the relative
+    /// order one FIFO over the whole queue would give it: the RIBs,
+    /// message and decision counts, and each prefix's observed
+    /// subsequence are that FIFO's, and only the interleaving across
+    /// prefixes differs.
     ///
     /// # Panics
     ///
@@ -779,21 +791,34 @@ impl Bgp {
         self.flush_counters(messages)
     }
 
-    /// Delivers queued messages to quiescence and returns `delivered` plus
-    /// their count. `delivered` counts the messages an enclosing
-    /// convergence already delivered, so the safety cap bounds the whole
-    /// convergence, not one drain.
+    /// Delivers queued messages to quiescence in [`Bgp::run`]'s order and
+    /// returns `delivered` plus their count. `delivered` counts the
+    /// messages an enclosing convergence already delivered, so the safety
+    /// cap bounds the whole convergence, not one drain.
     // hot
     fn drain(&mut self, ctx: Ctx<'_>, mut delivered: u64) -> u64 {
-        while let Some(msg) = self.queue.pop_front() {
-            delivered += 1;
-            assert!(
-                delivered <= self.msg_cap,
-                "BGP did not converge: policy dispute?"
-            );
-            self.deliver(ctx, msg);
+        // Stable partition by pid. Every prefix but the first waits in
+        // `later`, so the queue keeps its buffer and one prefix's messages.
+        self.queue.make_contiguous().sort_by_key(Msg::pid);
+        let first = self.queue.front().map(Msg::pid);
+        let run = self.queue.iter().take_while(|m| Some(m.pid()) == first);
+        let mut later = self.queue.split_off(run.count());
+        loop {
+            while let Some(msg) = self.queue.pop_front() {
+                delivered += 1;
+                assert!(
+                    delivered <= self.msg_cap,
+                    "BGP did not converge: policy dispute?"
+                );
+                self.deliver(ctx, msg);
+            }
+            let Some(pid) = later.front().map(Msg::pid) else {
+                return delivered;
+            };
+            while let Some(msg) = later.pop_front_if(|m| m.pid() == pid) {
+                self.queue.push_back(msg);
+            }
         }
-        delivered
     }
 
     /// Flushes the batched `bgp.*` counters for one finished run.
@@ -819,30 +844,18 @@ impl Bgp {
 
     /// Originates the prefixes of `origins` and converges, as one run.
     ///
-    /// When the delivery order is unobservable ([`Bgp::can_shard`]), each
-    /// origin converges to quiescence before the next is originated, in
-    /// ascending pid order: the queue holds one prefix's in-flight
-    /// messages and each drain touches one pid column of the RIBs. A
-    /// prefix's messages are enqueued only by its origination or by the
-    /// delivery of its own messages, and routing toward one prefix never
-    /// reads another's state, so they are delivered in the same relative
-    /// order as in one interleaved FIFO. The RIBs and the message and
-    /// decision counts are therefore the same; only path-pool ids, which
-    /// no route exposes, may differ. An observer tap or a tracer records
-    /// the interleaved order, so with either attached every origin is
-    /// originated first and one FIFO drains them all.
+    /// Each origin converges to quiescence before the next is originated,
+    /// in ascending pid order, so the queue holds one prefix's in-flight
+    /// messages and each drain touches one pid column of the RIBs. That is
+    /// [`Bgp::run`]'s delivery order after originating every origin at
+    /// once; only path-pool ids, which no route exposes, may be numbered
+    /// differently.
     ///
     /// # Panics
     ///
     /// Panics as [`Bgp::originate_as`] and [`Bgp::run`] do; the safety cap
     /// bounds the messages of the whole convergence.
     pub fn converge(&mut self, ctx: Ctx<'_>, origins: &[AsId]) -> RunStats {
-        if !self.can_shard() {
-            for &a in origins {
-                self.originate_as(ctx, a);
-            }
-            return self.run(ctx);
-        }
         let mut origins = origins.to_vec();
         origins.sort_by_key(|&a| self.origin_pid(ctx.topology, a));
         let mut messages = 0;
@@ -854,21 +867,21 @@ impl Bgp {
     }
 
     /// [`Bgp::converge`] with the origins partitioned by prefix across
-    /// `threads` workers; plain [`Bgp::converge`] when `threads <= 1`, or
-    /// when [`Bgp::can_shard`] says the delivery order is observable (it
-    /// then keeps the interleaved order).
+    /// `threads` workers; plain [`Bgp::converge`] when `threads <= 1` or
+    /// when an observer tap or a tracer is attached, since those record
+    /// from one engine. The delivery order is the same either way.
     ///
     /// The pid space is split into contiguous ranges, and each worker runs
-    /// the prefix-at-a-time [`Bgp::converge`] over the origins in its own
-    /// range in an independent copy-on-write fork of the engine. The
-    /// forks' pid columns are then merged back (with path-pool
-    /// translation) in shard order. Per-prefix state is disjoint, so the
-    /// merged fixed point is the one-thread convergence's and the total
-    /// message count matches exactly.
+    /// [`Bgp::converge`] over the origins in its own range in an
+    /// independent copy-on-write fork of the engine. The forks' pid
+    /// columns are then merged back (with path-pool translation) in shard
+    /// order. Per-prefix state is disjoint, so the merged fixed point is
+    /// the one-thread convergence's and the total message count matches
+    /// exactly.
     pub fn run_sharded(&mut self, ctx: Ctx<'_>, origins: &[AsId], threads: usize) -> RunStats {
         let n_prefixes = self.prefixes.len();
         let threads = threads.clamp(1, n_prefixes.max(1));
-        if threads <= 1 || !self.can_shard() {
+        if threads <= 1 || self.observer.is_some() || self.trace_on {
             return self.converge(ctx, origins);
         }
         // Contiguous pid ranges: shard k owns [bounds[k], bounds[k + 1]).
@@ -1256,77 +1269,61 @@ impl Bgp {
             return; // lost with the session
         }
         let meta = self.sess_meta[msg.session.index()];
+        let (session, to, pid) = (msg.session, msg.to, msg.pid());
+        let update = matches!(msg.payload, Payload::Update(_));
         // Observer tap: record eBGP messages arriving in the observer AS.
         if let Some(obs) = self.observer {
             if meta.ebgp {
-                let s = self.sessions.get(msg.session);
-                let (to_as, from_as) = if msg.to == s.a {
+                let s = self.sessions.get(session);
+                let (to_as, from_as) = if to == s.a {
                     (meta.a_as, meta.b_as)
                 } else {
                     (meta.b_as, meta.a_as)
                 };
                 if to_as == obs {
-                    let (pid, kind) = match msg.payload {
-                        Payload::Update(rm) => (rm.pid, ObservedKind::Update),
-                        Payload::Withdraw(pid) => (pid, ObservedKind::Withdraw),
-                    };
                     self.observed.push(ObservedMsg {
-                        at: msg.to,
+                        at: to,
                         from: msg.from(&self.sessions),
                         from_as,
                         prefix: self.prefixes[pid as usize],
-                        kind,
-                        seq: self.seq,
+                        kind: if update {
+                            ObservedKind::Update
+                        } else {
+                            ObservedKind::Withdraw
+                        },
                     });
-                    self.seq += 1;
                 }
             }
         }
         if self.trace_on {
             self.recorder.event(names::EV_BGP_MESSAGE, || {
-                let (msg_kind, pid) = match msg.payload {
-                    Payload::Update(rm) => ("update", rm.pid),
-                    Payload::Withdraw(pid) => ("withdraw", pid),
-                };
                 netdiag_obs::EventPayload::new()
-                    .field("kind", msg_kind)
+                    .field("kind", if update { "update" } else { "withdraw" })
                     .field("session", if meta.ebgp { "ebgp" } else { "ibgp" })
                     .field("from", msg.from(&self.sessions).index())
-                    .field("to", msg.to.index())
+                    .field("to", to.index())
                     .field("prefix", self.prefixes[pid as usize].to_string())
             });
         }
 
-        let Msg {
-            session,
-            to,
-            payload,
-        } = msg;
-        let pid = match payload {
-            Payload::Update(rm) => {
-                let pid = rm.pid;
-                match self.import(to, session, meta, rm) {
-                    Some(sr) => {
-                        let state = self.state_mut(to);
-                        state.adj_in[pid as usize].upsert(sr);
-                        state
-                            .adj_in_by_session
-                            .entry_or_default(session)
-                            .insert(pid);
-                    }
-                    None => {
-                        // Loop-rejected update acts as a withdraw of any
-                        // previous route on the session.
-                        self.remove_adj_in(to, pid, session);
-                    }
+        match msg.payload {
+            Payload::Update(rm) => match self.import(to, session, meta, rm) {
+                Some(sr) => {
+                    let state = self.state_mut(to);
+                    state.adj_in[pid as usize].upsert(sr);
+                    state
+                        .adj_in_by_session
+                        .entry_or_default(session)
+                        .insert(pid);
                 }
-                pid
-            }
-            Payload::Withdraw(pid) => {
-                self.remove_adj_in(to, pid, session);
-                pid
-            }
-        };
+                None => {
+                    // Loop-rejected update acts as a withdraw of any
+                    // previous route on the session.
+                    self.remove_adj_in(to, pid, session);
+                }
+            },
+            Payload::Withdraw(_) => self.remove_adj_in(to, pid, session),
+        }
         if self.decide(ctx, to, pid) {
             self.propagate(ctx, to, pid);
         }
@@ -1651,3 +1648,10 @@ mod tests {
         }
     }
 }
+
+// The retired interleaved FIFO, kept only as the test oracle of
+// `Bgp::run`'s order. Its cases drive the engine's private queue, so they
+// build as a unit-test module, but they live with the crate's tests.
+#[cfg(test)]
+#[path = "../tests/unit/fifo_oracle.rs"]
+mod fifo_oracle;

@@ -10,8 +10,9 @@
 //! * the standard decision process: local-pref → AS-path length → eBGP over
 //!   iBGP → IGP distance to the egress (hot potato) → deterministic
 //!   tie-breaks;
-//! * strictly-FIFO message processing ([`Bgp::run`]), making every
-//!   convergence fully deterministic;
+//! * one message delivery order ([`Bgp::run`]): each prefix's messages
+//!   drain FIFO to quiescence, in ascending prefix order, making every
+//!   convergence and replay fully deterministic;
 //! * incremental reconvergence after link failures
 //!   ([`Bgp::handle_link_down`]) and export-filter misconfigurations
 //!   ([`Bgp::install_filter`]);

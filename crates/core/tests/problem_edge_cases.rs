@@ -1,14 +1,18 @@
 //! Edge cases of the tomography-problem builder: degenerate observations
-//! must produce sane problems, never panics.
+//! must produce sane problems, never panics; and the control-plane feed
+//! is read as a set, whatever order its withdrawals arrive in.
 
 // Test code: unwrap on a broken fixture is the correct failure mode.
 #![allow(clippy::unwrap_used)]
 use std::net::Ipv4Addr;
 
-use netdiag_topology::{AsId, SensorId};
+use proptest::prelude::*;
+
+use netdiag_obs::names;
+use netdiag_topology::{AsId, Prefix, SensorId};
 use netdiagnoser::{
-    nd_edge, tomo, BuildOptions, Hop, IpToAsFn, Observations, ProbePath, Problem, SensorMeta,
-    Snapshot, Weights,
+    nd_edge, tomo, BuildOptions, Hop, IgpLinkDownObs, IpToAsFn, Observations, ProbePath, Problem,
+    RecorderHandle, RoutingFeed, SensorMeta, Snapshot, Weights, WithdrawalObs,
 };
 
 fn ip2as() -> IpToAsFn<impl Fn(Ipv4Addr) -> Option<AsId>> {
@@ -265,4 +269,96 @@ fn asymmetric_mesh_directions_are_independent() {
     assert_eq!(p.failure_sets.len(), 1);
     let d = nd_edge(&obs, &ip2as(), Weights::default());
     assert!(!d.is_empty());
+}
+
+/// Router interface `i` of a 20-address pool spread over ASes 1-5, the
+/// ASes of `sensors(5)`.
+fn router_addr(i: u32) -> Ipv4Addr {
+    Ipv4Addr::new(10, (i % 5 + 1) as u8, 0, (i / 5 + 1) as u8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `apply_feed` reads the withdrawals as a set: each one exonerates
+    /// upstream edges on its own, so any permutation of
+    /// `feed.withdrawals` leaves the same hitting-set instance, the same
+    /// forced edges and the same exonerated-edge count. The BGP engine
+    /// relies on this when it delivers a replay one prefix at a time
+    /// rather than in one FIFO over every prefix.
+    ///
+    /// Each ordered pair of four sensors gets a random pre-failure path
+    /// over the pool, then keeps it (fate 0), fails after `cut` of its
+    /// hops (fate 1) or reroutes over another random path (fate 2).
+    #[test]
+    fn apply_feed_ignores_the_order_of_withdrawals(
+        before in proptest::collection::vec(proptest::collection::vec(0u32..20, 1..5), 12..13),
+        fate in proptest::collection::vec(0u32..3, 12..13),
+        cut in proptest::collection::vec(0usize..5, 12..13),
+        reroute in proptest::collection::vec(proptest::collection::vec(0u32..20, 1..5), 12..13),
+        withdrawals in proptest::collection::vec((0u32..20, 1u32..6), 0..10),
+        igp in proptest::collection::vec((0u32..20, 0u32..20), 0..3),
+        keys in proptest::collection::vec(any::<u64>(), 10..11),
+    ) {
+        let sensors = sensors(4);
+        let pairs: Vec<(u32, u32)> = (0..4u32)
+            .flat_map(|s| (0..4u32).filter(move |&d| d != s).map(move |d| (s, d)))
+            .collect();
+        let hops = |route: &[u32], d: u32| -> Vec<Hop> {
+            route
+                .iter()
+                .map(|&i| Hop::Addr(router_addr(i)))
+                .chain([Hop::Addr(sensors[d as usize].addr)])
+                .collect()
+        };
+        let mut obs = Observations {
+            sensors: sensors.clone(),
+            before: Snapshot::default(),
+            after: Snapshot::default(),
+        };
+        for (i, &(s, d)) in pairs.iter().enumerate() {
+            let healthy = path(s, d, hops(&before[i], d), true);
+            obs.after.paths.push(match fate[i] {
+                0 => healthy.clone(),
+                1 => path(s, d, healthy.hops[..cut[i].min(before[i].len())].to_vec(), false),
+                _ => path(s, d, hops(&reroute[i], d), true),
+            });
+            obs.before.paths.push(healthy);
+        }
+        let feed = RoutingFeed {
+            withdrawals: withdrawals
+                .iter()
+                .map(|&(from, asn)| WithdrawalObs {
+                    from_addr: router_addr(from),
+                    prefix: Prefix::new(Ipv4Addr::new(10, asn as u8, 0, 0), 16),
+                })
+                .collect(),
+            igp_link_down: igp
+                .iter()
+                .map(|&(a, b)| IgpLinkDownObs {
+                    addr_a: router_addr(a),
+                    addr_b: router_addr(b),
+                })
+                .collect(),
+        };
+        let mut order: Vec<usize> = (0..feed.withdrawals.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let permuted = RoutingFeed {
+            withdrawals: order.iter().map(|&i| feed.withdrawals[i]).collect(),
+            ..feed.clone()
+        };
+        for opts in [BuildOptions::nd_edge(), BuildOptions::nd_lg()] {
+            let outcome = |feed: &RoutingFeed| {
+                let (recorder, memory) = RecorderHandle::in_memory();
+                let mut p = Problem::build(&obs, &ip2as(), opts);
+                p.apply_feed_recorded(&obs, feed, &recorder);
+                (
+                    format!("{:?}", p.instance()),
+                    p.forced,
+                    memory.report().counter(names::FEED_EXONERATED_EDGES),
+                )
+            };
+            prop_assert_eq!(outcome(&feed), outcome(&permuted));
+        }
+    }
 }

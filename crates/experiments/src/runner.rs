@@ -130,12 +130,10 @@ pub fn prepare_with(
     let origins = sensors.as_ids();
     let mut sim = Sim::with_origins(Arc::clone(&topology), &origins, recorder.clone());
     sensors.register(&mut sim);
-    sim.set_observer(observer);
     sim.converge_for(&origins);
-    // Drop the initial-convergence chatter; trials only want event-driven
-    // messages.
-    sim.take_observed();
-    sim.take_igp_events();
+    // Observe after the initial convergence: trials only want the
+    // messages a failure triggers.
+    sim.set_observer(observer);
 
     // Probe once without blocking to learn the probed ASes and the
     // diagnosability of the placement.

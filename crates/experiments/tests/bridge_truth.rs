@@ -118,11 +118,9 @@ fn routing_feed_extracts_withdrawals_with_neighbor_addr() {
         from_as: AsId(1),
         prefix: topology.as_node(AsId(1)).prefix,
         kind: ObservedKind::Withdraw,
-        seq: 0,
     };
     let update = ObservedMsg {
         kind: ObservedKind::Update,
-        seq: 1,
         ..msg.clone()
     };
     let feed = routing_feed(topology, AsId(0), &[msg, update], &[]);

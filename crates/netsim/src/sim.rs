@@ -191,13 +191,10 @@ impl Sim {
     /// Originates the prefixes of the given ASes and converges
     /// ([`Bgp::converge`]).
     ///
-    /// Without an observer or tracer the prefixes converge one at a time,
-    /// in ascending prefix order, so the message queue holds one prefix's
-    /// in-flight messages. Routing toward a prefix is independent of other
-    /// prefixes in this model, so that reaches the same RIBs with the same
-    /// message count as one interleaved FIFO, which is the order kept when
-    /// an observer or tracer is attached (both record it). The same
-    /// independence lets experiments originate only the sensor ASes'
+    /// The prefixes converge one at a time, in ascending prefix order, so
+    /// the message queue holds one prefix's in-flight messages. Routing
+    /// toward a prefix is independent of other prefixes in this model,
+    /// which also lets experiments originate only the sensor ASes'
     /// prefixes (and build the simulator with [`Sim::with_origins`] scoped
     /// to them).
     ///
@@ -227,9 +224,8 @@ impl Sim {
     /// prefix never reads another prefix's state in this model, so every
     /// thread count reaches the same fixed point with the same message
     /// count, asserted by the equivalence tests. With `threads <= 1`, or
-    /// with an observer / tracer attached (their event streams are
-    /// defined by the interleaved delivery order), this is
-    /// [`Sim::converge_for`] over every AS.
+    /// with an observer or tracer attached (each records from one
+    /// engine), this is [`Sim::converge_for`] over every AS.
     pub fn converge_all_sharded(&mut self, threads: usize) {
         let ids: Vec<AsId> = self.topology.ases().iter().map(|a| a.id).collect();
         let ctx = Ctx {
@@ -270,7 +266,9 @@ impl Sim {
     /// Fails a set of links simultaneously and reconverges *incrementally*:
     /// delta-SPF recomputes only the cone of routers whose shortest-path
     /// DAG used a failed edge, and BGP replays the decision process only
-    /// for the sessions/routers the delta actually touched.
+    /// for the sessions/routers the delta actually touched. The replay
+    /// queues every affected prefix and one drain delivers them a prefix
+    /// at a time ([`Bgp::run`]).
     ///
     /// Byte-identical to the full path ([`Sim::fail_links_full`]) in every
     /// observable: RIBs, forwarding, observed eBGP stream, IGP events.
