@@ -113,4 +113,4 @@ pub use scfs::scfs;
 
 // Re-exported so downstream users can attach a recorder without naming the
 // instrumentation crate themselves.
-pub use netdiag_obs::{InMemoryRecorder, NoopRecorder, Recorder, RecorderHandle, RunReport};
+pub use netdiag_obs::{LiveRecorder, NoopRecorder, Recorder, RecorderHandle, RunReport};

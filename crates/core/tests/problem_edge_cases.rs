@@ -349,13 +349,13 @@ proptest! {
         };
         for opts in [BuildOptions::nd_edge(), BuildOptions::nd_lg()] {
             let outcome = |feed: &RoutingFeed| {
-                let (recorder, memory) = RecorderHandle::in_memory();
+                let (recorder, memory) = RecorderHandle::live();
                 let mut p = Problem::build(&obs, &ip2as(), opts);
                 p.apply_feed_recorded(&obs, feed, &recorder);
                 (
                     format!("{:?}", p.instance()),
                     p.forced,
-                    memory.report().counter(names::FEED_EXONERATED_EDGES),
+                    memory.snapshot().counter(names::FEED_EXONERATED_EDGES),
                 )
             };
             prop_assert_eq!(outcome(&feed), outcome(&permuted));

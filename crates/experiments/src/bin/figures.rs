@@ -43,7 +43,7 @@ fn main() -> ExitCode {
         match flag.as_str() {
             "--profile" => {
                 let path = args.next().map(PathBuf::from).unwrap_or_else(|| usage());
-                let (handle, sink) = RecorderHandle::in_memory();
+                let (handle, sink) = RecorderHandle::live();
                 fc.recorder = handle;
                 profile = Some((path, sink));
             }
@@ -143,7 +143,7 @@ fn main() -> ExitCode {
         );
     }
     if let Some((path, sink)) = profile {
-        let report = sink.report();
+        let report = sink.snapshot();
         if let Err(e) = std::fs::write(&path, report.to_json()) {
             eprintln!("cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
@@ -155,6 +155,7 @@ fn main() -> ExitCode {
             netdiag_obs::names::PROBE_TRACEROUTES,
             netdiag_obs::names::HS_GREEDY_ITERS,
             netdiag_obs::names::DIAG_RUNS,
+            netdiag_obs::names::TRIAL_MEMO_HITS,
         ] {
             println!("{name} = {}", report.counter(name));
         }

@@ -16,7 +16,7 @@ use crate::bridge::{observations, TruthIpToAs};
 use crate::figures::{collect_trials, FigureConfig, FigureOutput};
 use crate::output::{f4, Table};
 use crate::runner::{prepare_with, run_trial, RunConfig};
-use crate::sampling::{sample_failure, FailureSpec};
+use crate::sampling::FailureSpec;
 
 /// The weight pairs swept.
 pub const WEIGHTS: [(u32, u32); 5] = [(1, 0), (1, 1), (1, 2), (2, 1), (0, 1)];
@@ -115,8 +115,6 @@ fn greedy_vs_exact(fc: &FigureConfig) -> FigureOutput {
             f4(exact_sizes.iter().sum::<usize>() as f64 / n),
             f4(optimal),
         ]);
-        // `sample_failure` is exercised through run_trial above.
-        let _ = sample_failure;
     }
     FigureOutput::new("ablation_greedy_vs_exact", table)
 }

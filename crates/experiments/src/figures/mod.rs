@@ -60,7 +60,7 @@ impl Default for FigureConfig {
 }
 
 impl FigureConfig {
-    /// A fast configuration for tests and benches (3 x 5 trials).
+    /// A fast configuration for tests and `--quick` runs (3 x 5 trials).
     pub fn quick() -> Self {
         FigureConfig {
             placements: 3,
@@ -120,6 +120,21 @@ fn resolved_threads(fc: &FigureConfig) -> usize {
     }
 }
 
+/// Runs `body(w)` for every worker `w` in `0..workers` on scoped threads.
+/// With one worker the body runs on the calling thread: a spawned thread
+/// would leave an allocator arena behind for nothing.
+fn run_workers(workers: usize, body: impl Fn(usize) + Sync) {
+    if workers <= 1 {
+        return body(0);
+    }
+    std::thread::scope(|scope| {
+        let body = &body;
+        for w in 0..workers {
+            scope.spawn(move || body(w));
+        }
+    });
+}
+
 /// Phase 1 of a collection: one [`PlacementContext`](crate::runner::PlacementContext)
 /// per placement, each from its own derived seed, prepared on up to
 /// `threads` workers that claim placement indices from a shared counter
@@ -132,45 +147,30 @@ fn prepare_contexts(
     threads: usize,
 ) -> Vec<crate::runner::PlacementContext> {
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
-    let prepare_one = |p: usize| -> crate::runner::PlacementContext {
+    // The counter only hands out indices; the contexts travel back through
+    // the slot mutexes, so Relaxed publishes nothing it must order.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<crate::runner::PlacementContext>>> =
+        (0..fc.placements).map(|_| Mutex::new(None)).collect();
+    run_workers(threads.min(fc.placements), |_| loop {
+        let p = next.fetch_add(1, Ordering::Relaxed);
+        if p >= fc.placements {
+            return;
+        }
         let _trial = netdiag_obs::trial_scope(p as u32, netdiag_obs::SETUP_TRIAL);
         let mut prng = StdRng::seed_from_u64(fc.base_seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
-        prepare_with(net, cfg, &mut prng, fc.recorder.clone())
-    };
-    let workers = threads.min(fc.placements);
-    if workers <= 1 {
-        return (0..fc.placements).map(prepare_one).collect();
-    }
-    // The counter only hands out indices; the contexts travel back through
-    // `join`, so Relaxed publishes nothing it must order.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<crate::runner::PlacementContext>> =
-        (0..fc.placements).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let p = next.fetch_add(1, Ordering::Relaxed);
-                        if p >= fc.placements {
-                            return done;
-                        }
-                        done.push((p, prepare_one(p)));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            for (p, ctx) in h.join().expect("placement worker panicked") {
-                slots[p] = Some(ctx);
-            }
-        }
+        let ctx = prepare_with(net, cfg, &mut prng, fc.recorder.clone());
+        *slots[p].lock().expect("placement slot poisoned") = Some(ctx);
     });
     slots
         .into_iter()
-        .map(|c| c.expect("every placement index is claimed exactly once"))
+        .map(|m| {
+            m.into_inner()
+                .expect("placement slot poisoned")
+                .expect("every placement index is claimed exactly once")
+        })
         .collect()
 }
 
@@ -183,10 +183,12 @@ fn prepare_contexts(
 /// units: worker `w` starts at placement `w % placements` and drains it
 /// with one persistent [`TrialScratch`] (restores between trials are `Arc`
 /// bumps; only a placement switch rebuilds the scratch), then steals
-/// trials from the next placements (`trial.pool.steal` counts those).
-/// Every trial owns an independent seeded RNG and writes to its
-/// `(placement, trial)` slot, so the output is deterministic and identical
-/// to [`collect_trials_sequential`] regardless of scheduling —
+/// trials from the next placements (`trial.pool.steal` counts those when
+/// there is more than one worker). One worker is the same loop on the
+/// calling thread, draining the placements in order. Every trial owns an
+/// independent seeded RNG and writes to its `(placement, trial)` slot, so
+/// the output is deterministic and identical to
+/// [`collect_trials_sequential`] regardless of scheduling —
 /// `tests/parallel_parity.rs` enforces exactly that.
 pub fn collect_trials(net: &Internet, cfg: &RunConfig, fc: &FigureConfig) -> Vec<TrialResult> {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -201,57 +203,36 @@ pub fn collect_trials(net: &Internet, cfg: &RunConfig, fc: &FigureConfig) -> Vec
         return Vec::new();
     }
     let workers = threads.min(total);
-    if workers <= 1 {
-        // One worker: same loop without the pool machinery (placement
-        // order, persistent scratch per placement).
-        let mut out: Vec<Option<TrialResult>> = Vec::with_capacity(total);
-        for (p, ctx) in contexts.iter().enumerate() {
-            let mut scratch = TrialScratch::new(ctx);
-            for t in 0..fpp {
-                let _trial = netdiag_obs::trial_scope(p as u32, t as u32);
-                let mut rng = StdRng::seed_from_u64(trial_seed(fc.base_seed, p, t));
-                out.push(run_trial_with(ctx, cfg, &mut rng, &mut scratch));
-            }
-        }
-        return out.into_iter().flatten().collect();
-    }
 
     // Per-placement claim counters: a worker claims trial `t` of placement
     // `p` by incrementing `next[p]`. Draining one placement before moving
     // on keeps scratch simulators (and the replay memo's locality) warm.
     let next: Vec<AtomicUsize> = (0..fc.placements).map(|_| AtomicUsize::new(0)).collect();
     let slots: Vec<Mutex<Option<TrialResult>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let next = &next;
-            let slots = &slots;
-            let contexts = &contexts;
-            scope.spawn(move || {
-                let home = w % fc.placements;
-                let mut scratch: Option<(usize, TrialScratch)> = None;
-                for off in 0..fc.placements {
-                    let p = (home + off) % fc.placements;
-                    loop {
-                        let t = next[p].fetch_add(1, Ordering::Relaxed);
-                        if t >= fpp {
-                            break; // placement drained: move (steal) on
-                        }
-                        if off > 0 && fc.recorder.enabled() {
-                            fc.recorder.add(names::TRIAL_POOL_STEAL, 1);
-                        }
-                        if scratch.as_ref().map(|(sp, _)| *sp) != Some(p) {
-                            scratch = Some((p, TrialScratch::new(&contexts[p])));
-                        }
-                        let (_, sc) = scratch
-                            .as_mut()
-                            .expect("scratch installed for this placement");
-                        let _trial = netdiag_obs::trial_scope(p as u32, t as u32);
-                        let mut rng = StdRng::seed_from_u64(trial_seed(fc.base_seed, p, t));
-                        let result = run_trial_with(&contexts[p], cfg, &mut rng, sc);
-                        *slots[p * fpp + t].lock().expect("trial slot poisoned") = result;
-                    }
+    run_workers(workers, |w| {
+        let home = w % fc.placements;
+        let mut scratch: Option<(usize, TrialScratch)> = None;
+        for off in 0..fc.placements {
+            let p = (home + off) % fc.placements;
+            loop {
+                let t = next[p].fetch_add(1, Ordering::Relaxed);
+                if t >= fpp {
+                    break; // placement drained: move (steal) on
                 }
-            });
+                if off > 0 && workers > 1 {
+                    fc.recorder.add(names::TRIAL_POOL_STEAL, 1);
+                }
+                if scratch.as_ref().map(|(sp, _)| *sp) != Some(p) {
+                    scratch = Some((p, TrialScratch::new(&contexts[p])));
+                }
+                let (_, sc) = scratch
+                    .as_mut()
+                    .expect("scratch installed for this placement");
+                let _trial = netdiag_obs::trial_scope(p as u32, t as u32);
+                let mut rng = StdRng::seed_from_u64(trial_seed(fc.base_seed, p, t));
+                let result = run_trial_with(&contexts[p], cfg, &mut rng, sc);
+                *slots[p * fpp + t].lock().expect("trial slot poisoned") = result;
+            }
         }
     });
     slots
@@ -264,8 +245,7 @@ pub fn collect_trials(net: &Internet, cfg: &RunConfig, fc: &FigureConfig) -> Vec
 /// derived seeds, same trial order, but every trial runs on
 /// [`run_trial_reference`] (fresh clone + snapshot per trial, full IGP/BGP
 /// reconvergence per attempt, no memo) — the frozen pre-incremental
-/// behavior. Tests use it as the parity oracle; benches measure the
-/// production pool against it.
+/// behavior. Tests use it as the parity oracle.
 pub fn collect_trials_sequential(
     net: &Internet,
     cfg: &RunConfig,

@@ -95,9 +95,9 @@ pub struct PlacementContext {
     /// is deterministic, so a failure drawn a second time (common at paper
     /// scale, where hundreds of draws hit the same few hundred probed
     /// links) replays the recorded outcome instead of re-simulating.
-    /// `None` records "fully rerouted — redraw". Bypassed whenever an
-    /// instrumentation recorder is live, so traces and profiles still see
-    /// every trial's real work.
+    /// `None` records "fully rerouted — redraw". Bypassed under a tracer,
+    /// whose per-trial event stream a replayed outcome cannot reproduce;
+    /// metrics runs use it and count hits under `trial.memo_hits`.
     replay: Mutex<BTreeMap<Vec<u64>, Option<TrialResult>>>,
 }
 
@@ -280,10 +280,10 @@ pub fn run_trial_with(
     scratch: &mut TrialScratch,
 ) -> Option<TrialResult> {
     let recorder = ctx.sim.recorder().clone();
-    // With a live recorder every trial must do (and report) its real work
-    // — counters, spans, and trace events alike — so the memo only serves
-    // runs without any instrumentation sink.
-    let memo_live = !recorder.enabled() && !recorder.trace_enabled();
+    // A hit returns a recorded outcome without re-simulating, so it cannot
+    // replay the trial's event stream: the memo serves every run except a
+    // traced one. Metrics runs keep it and count the hits.
+    let memo_on = !recorder.trace_enabled();
     for attempt in 0..MAX_ATTEMPTS {
         let failure = sample_failure_from(
             &ctx.sim,
@@ -293,17 +293,15 @@ pub fn run_trial_with(
             cfg.failure,
             rng,
         )?;
-        let key = if memo_live {
-            failure_key(&failure)
-        } else {
-            None
-        };
+        let key = if memo_on { failure_key(&failure) } else { None };
         if let Some(k) = &key {
             let memo = ctx.replay.lock().expect("replay memo poisoned");
-            match memo.get(k) {
-                Some(Some(result)) => return Some(result.clone()),
-                Some(None) => continue, // known fully-rerouted: redraw
-                None => {}
+            if let Some(hit) = memo.get(k) {
+                recorder.add(names::TRIAL_MEMO_HITS, 1);
+                match hit {
+                    Some(result) => return Some(result.clone()),
+                    None => continue, // known fully-rerouted: redraw
+                }
             }
         }
         recorder.event(names::EV_TRIAL_ATTEMPT, || {
@@ -350,7 +348,7 @@ pub fn run_trial_with(
 /// fresh clone + snapshot per call, full reconvergence per attempt
 /// ([`apply_failure_full`]), per-attempt probed-set recomputation, and no
 /// memo. [`collect_trials_sequential`](crate::figures::collect_trials_sequential)
-/// runs on this path; benches measure the production loop against it.
+/// runs on this path, and tests hold the production loop to it.
 pub fn run_trial_reference(
     ctx: &PlacementContext,
     cfg: &RunConfig,

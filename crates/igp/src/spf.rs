@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use netdiag_obs::{names, RecorderHandle};
-use netdiag_topology::{AsId, LinkId, LinkKind, RouterId, Topology};
+use netdiag_topology::{AsId, AsNode, LinkId, LinkKind, RouterId, Topology};
 
 use crate::state::LinkState;
 
@@ -394,48 +394,45 @@ pub struct Igp {
 impl Igp {
     /// Computes SPF for every AS.
     pub fn compute(topology: &Topology, links: &LinkState) -> Self {
-        Self::compute_recorded(topology, links, &RecorderHandle::noop())
+        Self::compute_parallel(topology, links, 1, &RecorderHandle::noop())
     }
 
-    /// [`Igp::compute`] reporting SPF counters to `recorder`.
-    pub fn compute_recorded(
+    /// Computes SPF for every AS, fanning the independent per-AS runs over
+    /// `threads` scoped workers and reporting SPF counters to `recorder`.
+    /// Each AS's tables depend only on the immutable topology and link
+    /// state, so the result is byte-identical for any thread count:
+    /// workers own disjoint contiguous chunks which are stitched back in
+    /// AS order. One thread runs in line on the caller. An attached
+    /// tracer forces one thread, so `igp.spf_recompute` events stay in AS
+    /// order (the same rule as `Bgp::run_sharded`).
+    pub fn compute_parallel(
         topology: &Topology,
         links: &LinkState,
+        threads: usize,
         recorder: &RecorderHandle,
     ) -> Self {
-        let per_as = topology
-            .ases()
-            .iter()
-            .map(|a| Arc::new(AsIgp::compute_recorded(topology, a.id, links, recorder)))
-            .collect();
-        Igp { per_as }
-    }
-
-    /// [`Igp::compute`] with the independent per-AS SPF runs fanned over
-    /// `threads` scoped workers. Each AS's tables depend only on the
-    /// immutable topology and link state, so the result is byte-identical
-    /// to the sequential path regardless of scheduling: workers own
-    /// disjoint contiguous chunks which are stitched back in AS order.
-    pub fn compute_parallel(topology: &Topology, links: &LinkState, threads: usize) -> Self {
-        let n = topology.as_count();
-        if threads <= 1 || n < 2 {
-            return Self::compute(topology, links);
-        }
-        let threads = threads.min(n);
-        let chunk = n.div_ceil(threads);
         let ases = topology.ases();
-        let mut per_as = Vec::with_capacity(n);
+        let threads = if recorder.trace_enabled() {
+            1
+        } else {
+            threads.clamp(1, ases.len().max(1))
+        };
+        let compute_chunk = |slice: &[AsNode]| -> Vec<Arc<AsIgp>> {
+            slice
+                .iter()
+                .map(|a| Arc::new(AsIgp::compute_recorded(topology, a.id, links, recorder)))
+                .collect()
+        };
+        if threads == 1 {
+            return Igp {
+                per_as: compute_chunk(ases),
+            };
+        }
+        let mut per_as = Vec::with_capacity(ases.len());
         std::thread::scope(|s| {
             let handles: Vec<_> = ases
-                .chunks(chunk)
-                .map(|slice| {
-                    s.spawn(move || {
-                        slice
-                            .iter()
-                            .map(|a| Arc::new(AsIgp::compute(topology, a.id, links)))
-                            .collect::<Vec<_>>()
-                    })
-                })
+                .chunks(ases.len().div_ceil(threads))
+                .map(|slice| s.spawn(move || compute_chunk(slice)))
                 .collect();
             for h in handles {
                 per_as.extend(h.join().expect("SPF worker panicked"));
@@ -456,8 +453,9 @@ impl Igp {
     }
 
     /// Forces every per-AS table to be uniquely owned (a full deep copy),
-    /// detaching this `Igp` from any sharing. Used to benchmark the cost
-    /// the CoW representation avoids.
+    /// detaching this `Igp` from any sharing: the copy the CoW
+    /// representation avoids, which `Sim::deep_clone` forces for the
+    /// copy-on-write equivalence tests.
     pub fn unshare_all(&mut self) {
         for a in &mut self.per_as {
             Arc::make_mut(a);
@@ -757,11 +755,38 @@ mod tests {
     }
 
     #[test]
+    fn parallel_compute_reports_the_one_thread_counters_and_events() {
+        use netdiag_topology::builders::{build_internet, InternetConfig};
+        let net = build_internet(&InternetConfig::small(1));
+        let t = &net.topology;
+        let links = LinkState::all_up(t);
+        let counters = |threads| {
+            let (recorder, live) = RecorderHandle::live();
+            Igp::compute_parallel(t, &links, threads, &recorder);
+            let report = live.snapshot();
+            (
+                report.counter(names::IGP_SPF_RUNS),
+                report.counter(names::IGP_SETTLED_NODES),
+            )
+        };
+        assert!(counters(1).0 > 0);
+        assert_eq!(counters(1), counters(2));
+        // A tracer forces one thread, so the events keep AS order.
+        let payloads = |threads| {
+            let (recorder, trace) = RecorderHandle::tracing();
+            Igp::compute_parallel(t, &links, threads, &recorder);
+            let events = trace.events();
+            events.into_iter().map(|e| e.payload).collect::<Vec<_>>()
+        };
+        assert_eq!(payloads(1), payloads(2));
+    }
+
+    #[test]
     fn parallel_compute_matches_sequential() {
         let (t, routers) = diamond();
         let links = LinkState::all_up(&t);
         let seq = Igp::compute(&t, &links);
-        let par = Igp::compute_parallel(&t, &links, 4);
+        let par = Igp::compute_parallel(&t, &links, 4, &RecorderHandle::noop());
         for &a in &routers {
             for &b in &routers {
                 assert_eq!(seq.of(AsId(0)).dist(a, b), par.of(AsId(0)).dist(a, b));

@@ -81,35 +81,16 @@ impl Sim {
     /// [`Sim::converge_all`] next. The all-ASes, uninstrumented case of
     /// [`Sim::with_origins`].
     pub fn new(topology: Arc<Topology>) -> Self {
-        let all: Vec<AsId> = topology.ases().iter().map(|a| a.id).collect();
-        Self::with_origins(topology, &all, RecorderHandle::noop())
+        Self::new_parallel(topology, 1)
     }
 
     /// [`Sim::new`] with the initial per-AS SPF runs fanned over `threads`
     /// scoped workers ([`Igp::compute_parallel`]). Byte-identical to
-    /// [`Sim::new`] — each AS's IGP tables depend only on the immutable
-    /// topology and link state — but without instrumentation: the SPF
-    /// counters are defined by the sequential run order, so a recorder
-    /// cannot be attached to the parallel path.
+    /// [`Sim::new`]: each AS's IGP tables depend only on the immutable
+    /// topology and link state.
     pub fn new_parallel(topology: Arc<Topology>, threads: usize) -> Self {
-        let links = LinkState::all_up(&topology);
-        let igp = Igp::compute_parallel(&topology, &links, threads);
-        let mut bgp = Bgp::new(&topology);
-        bgp.recompute_liveness(Ctx {
-            topology: &topology,
-            igp: &igp,
-            links: &links,
-        });
-        Sim {
-            topology,
-            links,
-            igp,
-            bgp,
-            hosts: HashMap::new(),
-            igp_events: Vec::new(),
-            messages: 0,
-            recorder: RecorderHandle::noop(),
-        }
+        let all: Vec<AsId> = topology.ases().iter().map(|a| a.id).collect();
+        Self::build(topology, &all, RecorderHandle::noop(), threads)
     }
 
     /// A simulator whose BGP prefix space holds only the prefixes of
@@ -124,8 +105,19 @@ impl Sim {
         origins: &[AsId],
         recorder: RecorderHandle,
     ) -> Self {
+        Self::build(topology, origins, recorder, 1)
+    }
+
+    /// The body of every constructor: [`Sim::with_origins`] with the
+    /// initial SPF on `threads` workers.
+    fn build(
+        topology: Arc<Topology>,
+        origins: &[AsId],
+        recorder: RecorderHandle,
+        threads: usize,
+    ) -> Self {
         let links = LinkState::all_up(&topology);
-        let igp = Igp::compute_recorded(&topology, &links, &recorder);
+        let igp = Igp::compute_parallel(&topology, &links, threads, &recorder);
         let mut bgp = Bgp::with_origins(&topology, origins);
         bgp.set_recorder(recorder.clone());
         bgp.recompute_liveness(Ctx {
@@ -176,8 +168,8 @@ impl Sim {
 
     /// A clone with every shared table forced into unique ownership — the
     /// full deep copy the pre-CoW implementation paid for every clone.
-    /// Counted under `sim.snapshot.deep_copies`; kept for benchmarks and
-    /// equivalence tests.
+    /// Counted under `sim.snapshot.deep_copies`; the copy-on-write
+    /// equivalence tests compare against it.
     pub fn deep_clone(&self) -> Self {
         let mut copy = self.clone();
         copy.igp.unshare_all();

@@ -355,10 +355,10 @@ mod tests {
 
     #[test]
     fn run_report_round_trips_through_the_parser() {
-        let (h, rec) = crate::RecorderHandle::in_memory();
+        let (h, rec) = crate::RecorderHandle::live();
         h.add("a.count", 3);
         h.observe("h.sizes", 7);
-        let v = parse(&rec.report().to_json()).expect("report parses");
+        let v = parse(&rec.snapshot().to_json()).expect("report parses");
         assert_eq!(
             v.get("counters")
                 .and_then(|c| c.get("a.count"))

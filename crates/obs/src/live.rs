@@ -1,12 +1,12 @@
-//! [`LiveRecorder`]: the always-on telemetry registry behind
-//! `netdiag-serve`'s stats plane.
+//! [`LiveRecorder`]: the workspace's one metrics recorder, behind
+//! `netdiag-serve`'s stats plane and every CLI `--profile` report.
 //!
-//! [`InMemoryRecorder`](crate::InMemoryRecorder) serializes every
-//! concurrent worker on one `Mutex<Aggregates>` and only yields a report
-//! when someone asks at the end of a run. A daemon needs the opposite
-//! trade: a record path cheap enough to leave on under production load,
-//! and a registry that can be snapshotted *at any instant* while workers
-//! keep recording. `LiveRecorder` delivers that with three ideas:
+//! A daemon needs a record path cheap enough to leave on under
+//! production load, and a registry that can be snapshotted *at any
+//! instant* while workers keep recording; a batch run just snapshots
+//! once at the end. A mutex-guarded aggregate would serialize every
+//! concurrent worker on one lock, so `LiveRecorder` is built on three
+//! ideas instead:
 //!
 //! * **Lock-free record path.** Metrics live in fixed open-addressed
 //!   tables of slots claimed with [`OnceLock`]; recording is a handful
@@ -25,10 +25,10 @@
 //!   threads share one overflow lane where `fetch_add` keeps totals
 //!   exact; a snapshot sums the lanes.
 //!
-//! Gauges are a fourth metric kind the aggregate recorders never had: a
-//! *level* (queue depth, live connections) with set/add/sub semantics
-//! and a high-water mark, where counter semantics would monotonically
-//! aggregate a quantity that is supposed to go back down.
+//! Gauges are the fourth metric kind: a *level* (queue depth, live
+//! connections) with set/add/sub semantics and a high-water mark, where
+//! counter semantics would monotonically aggregate a quantity that is
+//! supposed to go back down.
 //!
 //! Beyond the cumulative [`RunReport`] snapshot, the recorder keeps a
 //! ring of timestamped snapshots ([`LiveRecorder::roll`], driven by the
@@ -701,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn series_match_their_inmemory_shape() {
+    fn series_track_count_sum_min_max() {
         let live = LiveRecorder::new();
         for v in [7, 3, 12] {
             live.observe("h.v", v);
@@ -814,13 +814,13 @@ mod tests {
     #[test]
     fn fanout_composes_live_with_other_sinks() {
         let live = Arc::new(LiveRecorder::new());
-        let (mem_handle, mem) = RecorderHandle::in_memory();
-        let h = RecorderHandle::fanout(vec![live.clone(), mem_handle.sink()]);
+        let (other_handle, other) = RecorderHandle::live();
+        let h = RecorderHandle::fanout(vec![live.clone(), other_handle.sink()]);
         h.add("both", 3);
         h.gauge_add("lvl", 2);
         assert_eq!(live.snapshot().counter("both"), 3);
-        assert_eq!(mem.report().counter("both"), 3);
+        assert_eq!(other.snapshot().counter("both"), 3);
         assert_eq!(live.snapshot().gauges["lvl"].current, 2);
-        assert_eq!(mem.report().gauges["lvl"].current, 2);
+        assert_eq!(other.snapshot().gauges["lvl"].current, 2);
     }
 }

@@ -121,6 +121,9 @@ pub const TRIAL_SETUP: &str = "trial.setup";
 /// Counter: trial units a pool worker stole from another placement's
 /// queue after draining its own.
 pub const TRIAL_POOL_STEAL: &str = "trial.pool.steal";
+/// Counter: trial draws answered from the placement's replay memo (a
+/// failure already simulated for this placement) instead of simulated.
+pub const TRIAL_MEMO_HITS: &str = "trial.memo_hits";
 
 // --- trace events: causal per-trial streams ----------------------------------
 //

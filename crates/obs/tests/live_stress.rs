@@ -7,11 +7,12 @@
 //! into the registry or through a [`FanoutRecorder`] composed via
 //! [`RecorderHandle::sink`]. The parity test pins the other half of the
 //! contract: on a sequential workload the lock-free registry reports
-//! byte-for-byte what the mutexed [`InMemoryRecorder`] reports.
+//! exactly what a plain fold of the same observations gives.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use netdiag_obs::{InMemoryRecorder, LiveRecorder, Recorder, RecorderHandle};
+use netdiag_obs::{GaugeSnapshot, LiveRecorder, Recorder, RecorderHandle, RunReport, SeriesStats};
 
 const THREADS: u64 = 8;
 const OPS: u64 = 10_000;
@@ -80,7 +81,7 @@ fn fanout_composition_keeps_every_sink_exact() {
     // The daemon's shape: a live registry fanned out with another sink,
     // reached through RecorderHandle::sink() composition.
     let live = Arc::new(LiveRecorder::new());
-    let mirror = Arc::new(InMemoryRecorder::new());
+    let mirror = Arc::new(LiveRecorder::new());
     let handle = RecorderHandle::fanout(vec![
         Arc::clone(&live) as Arc<dyn Recorder>,
         Arc::clone(&mirror) as Arc<dyn Recorder>,
@@ -89,27 +90,58 @@ fn fanout_composition_keeps_every_sink_exact() {
     let rewrapped = RecorderHandle::fanout(vec![handle.sink()]);
     hammer(&rewrapped);
     assert_totals(&live.snapshot(), "live sink");
-    assert_totals(&mirror.report(), "mirrored sink");
+    assert_totals(&mirror.snapshot(), "mirrored sink");
+}
+
+/// The oracle's series fold: count, saturating sum, min, max and the
+/// log2 buckets (slot 0 holds zeros, slot `b` holds `[2^(b-1), 2^b)`),
+/// computed here from the raw values rather than by the crate.
+fn fold_series(values: &[u64]) -> SeriesStats {
+    let mut buckets = [0u64; 65];
+    for &v in values {
+        buckets[(u64::BITS - v.leading_zeros()) as usize] += 1;
+    }
+    SeriesStats::from_parts(
+        values.len() as u64,
+        values.iter().fold(0u64, |acc, &v| acc.saturating_add(v)),
+        *values.iter().min().expect("a recorded series is non-empty"),
+        *values.iter().max().expect("a recorded series is non-empty"),
+        buckets,
+    )
 }
 
 #[test]
-fn sequential_workload_matches_in_memory_recorder_exactly() {
-    let (live_handle, live) = RecorderHandle::live();
-    let (mem_handle, mem) = RecorderHandle::in_memory();
-    for recorder in [&live_handle, &mem_handle] {
-        for i in 0..5_000u64 {
-            recorder.add(COUNTER, 1 + i % 3);
-            recorder.observe(HIST, i * i % 4096);
-            recorder.record_span(SPAN, i % 100);
-            recorder.gauge_add(GAUGE, 2);
-            recorder.gauge_sub(GAUGE, 1);
-            if i % 500 == 0 {
-                recorder.gauge_set(GAUGE, 5);
-            }
+fn sequential_workload_matches_a_plain_fold_exactly() {
+    let (recorder, live) = RecorderHandle::live();
+    let mut counter = 0u64;
+    let (mut hist, mut span) = (Vec::new(), Vec::new());
+    let mut gauge = GaugeSnapshot::default();
+    for i in 0..5_000u64 {
+        recorder.add(COUNTER, 1 + i % 3);
+        counter += 1 + i % 3;
+        recorder.observe(HIST, i * i % 4096);
+        hist.push(i * i % 4096);
+        recorder.record_span(SPAN, i % 100);
+        span.push(i % 100);
+        recorder.gauge_add(GAUGE, 2);
+        gauge.current += 2;
+        gauge.high_water = gauge.high_water.max(gauge.current);
+        recorder.gauge_sub(GAUGE, 1);
+        gauge.current -= 1;
+        if i % 500 == 0 {
+            recorder.gauge_set(GAUGE, 5);
+            gauge.current = 5;
+            gauge.high_water = gauge.high_water.max(5);
         }
     }
+    let expected = RunReport {
+        counters: BTreeMap::from([(COUNTER.to_owned(), counter)]),
+        histograms: BTreeMap::from([(HIST.to_owned(), fold_series(&hist))]),
+        spans: BTreeMap::from([(SPAN.to_owned(), fold_series(&span))]),
+        gauges: BTreeMap::from([(GAUGE.to_owned(), gauge)]),
+    };
     // Whole-report equality: counters, per-bucket histograms, spans,
-    // gauges — the lock-free path may not drift from the reference
-    // aggregation in any field.
-    assert_eq!(live.snapshot(), mem.report());
+    // gauges — the lock-free path may not drift from the fold in any
+    // field.
+    assert_eq!(live.snapshot(), expected);
 }

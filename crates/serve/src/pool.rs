@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn tracks_queue_depth_as_a_gauge() {
-        let (recorder, sink) = RecorderHandle::in_memory();
+        let (recorder, sink) = RecorderHandle::live();
         // One worker blocked on the first job, so two more stack up and
         // the gauge's high-water mark reflects real queue occupancy.
         let pool = WorkerPool::new(1, 8, recorder);
@@ -201,7 +201,7 @@ mod tests {
         pool.submit(Box::new(|| {})).expect("queue slot 2");
         block_tx.send(()).expect("unblock the worker");
         pool.shutdown();
-        let report = sink.report();
+        let report = sink.snapshot();
         let gauge = report
             .gauge(names::SERVE_QUEUE_DEPTH)
             .expect("queue depth gauge recorded");

@@ -66,7 +66,7 @@ fn main() {
     let ip2as = TruthIpToAs {
         topology: &topology,
     };
-    let (recorder, profile) = RecorderHandle::in_memory();
+    let (recorder, profile) = RecorderHandle::live();
     let diagnose = |algorithm| {
         NetDiagnoser::builder()
             .algorithm(algorithm)
@@ -99,7 +99,7 @@ fn main() {
     println!("the failed link is in the hypothesis ✓");
 
     // 7. The recorder saw both diagnoses.
-    let report = profile.report();
+    let report = profile.snapshot();
     println!(
         "instrumentation: {} diagnoses, {} greedy iterations",
         report.counter("diag.runs"),

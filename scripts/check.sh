@@ -30,6 +30,12 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== workspace tests =="
+# The tier-1 run above builds only the root package's tests; the crate
+# suites (trial pin, BGP oracle, CoW equivalence, pool parity, live
+# recorder stress) run here.
+cargo test --workspace -q
+
 echo "== benchmark package tests =="
 # benchmark/ is a workspace of its own, so the root test run above does
 # not build it, yet its layer walk calls experiments/netsim APIs directly.

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 fn trial_populates_every_layer_of_the_run_report() {
     let net = build_internet(&InternetConfig::small(3));
     let cfg = RunConfig::default();
-    let (recorder, sink) = RecorderHandle::in_memory();
+    let (recorder, sink) = RecorderHandle::live();
 
     let mut rng = StdRng::seed_from_u64(11);
     let ctx = prepare_with(&net, &cfg, &mut rng, recorder);
@@ -21,7 +21,7 @@ fn trial_populates_every_layer_of_the_run_report() {
     let trial = run_trial(&ctx, &cfg, &mut frng).expect("a failure trial runs");
     assert!(!trial.failed_sites.is_empty() || trial.failed_paths > 0);
 
-    let report = sink.report();
+    let report = sink.snapshot();
     assert!(report.counter(names::IGP_SPF_RUNS) > 0, "SPF ran");
     assert!(
         report.counter(names::IGP_SETTLED_NODES) > 0,
@@ -106,7 +106,7 @@ fn noop_recorder_leaves_no_trace_and_changes_no_results() {
         run_trial(&ctx, &cfg, &mut frng).expect("a failure trial runs")
     };
 
-    let (handle, sink) = RecorderHandle::in_memory();
+    let (handle, sink) = RecorderHandle::live();
     let recorded = run(handle);
     let plain = run(RecorderHandle::noop());
 
@@ -117,5 +117,5 @@ fn noop_recorder_leaves_no_trace_and_changes_no_results() {
         recorded.nd_edge.hypothesis_size,
         plain.nd_edge.hypothesis_size
     );
-    assert!(sink.report().counter(names::IGP_SPF_RUNS) > 0);
+    assert!(sink.snapshot().counter(names::IGP_SPF_RUNS) > 0);
 }
