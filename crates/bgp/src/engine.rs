@@ -9,20 +9,23 @@
 //! message *received by one designated observer AS* — the control-plane feed
 //! the paper's ND-bgpigp algorithm consumes.
 //!
-//! # Flat substrate
+//! # Prefix-major columns
 //!
 //! All hot-path state is indexed by a dense *prefix id* (pid): the engine
 //! interns the prefixes of the ASes it may originate (every AS by
 //! default, see [`Bgp::with_origins`]) into one sorted table at
-//! construction, so
-//! per-router RIBs are flat arrays indexed by pid instead of sorted maps
-//! keyed by [`Prefix`] (whose inserts memmove O(prefixes) entries). AS
-//! paths are interned into a shared [`PathPool`] — messages and stored
-//! routes carry a `u32` path id — and per-session policy inputs (AS
-//! membership, business relationship) are precomputed once, so the
-//! message loop performs no topology lookups and no allocation per
-//! message. Public accessors still speak [`Prefix`] and [`Route`];
-//! routes are materialized on demand.
+//! construction. Each pid owns one [`Column`]: every router's
+//! Adj-RIB-In cell and Loc-RIB slot for that prefix (flat arrays indexed
+//! by router), the routers that originate it, its Adj-RIB-Out bits per
+//! session endpoint and its own [`PathPool`]. Routing toward one prefix
+//! never reads another prefix's state, and every non-empty AS path ends
+//! in its prefix's origin AS, so a column is self-contained: it is the
+//! unit of copy-on-write and of sharding. Messages and stored routes
+//! carry a `u32` path id into their column's pool, and per-session
+//! policy inputs (AS membership, business relationship) are precomputed
+//! once, so the message loop performs no topology lookups and no
+//! allocation per message. Public accessors still speak [`Prefix`] and
+//! [`Route`]; routes are materialized on demand.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -35,7 +38,6 @@ use netdiag_topology::{AsId, LinkId, LinkKind, PeerKind, Prefix, RouterId, Topol
 use crate::policy::{ExportDeny, ExportFilters};
 use crate::route::{local_pref_for, AsPath, Route, RouteSource, LOCAL_PREF_ORIGINATED};
 use crate::session::{Session, SessionId, SessionKind, SessionTable};
-use crate::vecmap::{VecMap, VecSet};
 
 /// Read-only routing context threaded through engine operations.
 #[derive(Clone, Copy)]
@@ -67,7 +69,8 @@ fn pref_of(source: RouteSource) -> u32 {
     }
 }
 
-/// Interned AS paths, shared by every router of an engine.
+/// Interned AS paths toward one prefix, shared by every router of its
+/// [`Column`].
 ///
 /// Every path but the empty one (id [`PATH_EMPTY`]) is interned as a cons
 /// cell: its head AS prepended to an already-interned tail, which always
@@ -76,9 +79,7 @@ fn pref_of(source: RouteSource) -> u32 {
 /// decomposition ids are the same as under full-path keying.
 ///
 /// Append-only: path ids stay valid for the lifetime of the pool, so a
-/// snapshot restored over a grown pool still resolves every id. Lives
-/// behind an `Arc` with copy-on-write mutation, so engine clones share it
-/// until one interns a path the pool has not seen.
+/// snapshot restored over a grown pool still resolves every id.
 #[derive(Clone, Debug)]
 struct PathPool {
     /// Reverse index; point lookups only, never iterated.
@@ -251,77 +252,30 @@ impl AdjCell {
         }
         false
     }
-
-    /// Rewrites every stored path id through `tr` (shard merge).
-    fn map_paths(&mut self, tr: &dyn Fn(u32) -> u32) {
-        let il = self.inline_len();
-        for e in &mut self.inline[..il] {
-            e.path = tr(e.path);
-        }
-        if let Some(spill) = &mut self.spill {
-            for e in spill.iter_mut() {
-                e.path = tr(e.path);
-            }
-        }
-    }
 }
 
-/// A dense bitset over prefix ids with a maintained cardinality.
+/// A dense bitset that grows on demand.
 #[derive(Clone, Debug, Default)]
-struct PidSet {
-    words: Vec<u64>,
-    count: u32,
-}
+struct Bits(Vec<u64>);
 
-impl PidSet {
-    fn contains(&self, pid: Pid) -> bool {
-        self.words
-            .get((pid / 64) as usize)
-            .is_some_and(|w| w & (1 << (pid % 64)) != 0)
+impl Bits {
+    fn contains(&self, i: u32) -> bool {
+        self.0
+            .get((i / 64) as usize)
+            .is_some_and(|w| w & (1 << (i % 64)) != 0)
     }
 
-    fn insert(&mut self, pid: Pid) -> bool {
-        let w = (pid / 64) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+    fn set(&mut self, i: u32, on: bool) {
+        let w = (i / 64) as usize;
+        let bit = 1u64 << (i % 64);
+        if on {
+            if w >= self.0.len() {
+                self.0.resize(w + 1, 0);
+            }
+            self.0[w] |= bit;
+        } else if let Some(word) = self.0.get_mut(w) {
+            *word &= !bit;
         }
-        let bit = 1u64 << (pid % 64);
-        if self.words[w] & bit != 0 {
-            return false;
-        }
-        self.words[w] |= bit;
-        self.count += 1;
-        true
-    }
-
-    fn remove(&mut self, pid: Pid) -> bool {
-        let w = (pid / 64) as usize;
-        let bit = 1u64 << (pid % 64);
-        if w >= self.words.len() || self.words[w] & bit == 0 {
-            return false;
-        }
-        self.words[w] &= !bit;
-        self.count -= 1;
-        true
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Set bits in ascending pid order.
-    fn iter(&self) -> impl Iterator<Item = Pid> + '_ {
-        // Clearing the lowest set bit each step yields bits in ascending
-        // order; zero never enters the sequence, so `b - 1` cannot
-        // underflow.
-        self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            std::iter::successors((bits != 0).then_some(bits), |&b| {
-                let next = b & (b - 1);
-                (next != 0).then_some(next)
-            })
-            .map(move |b| w as u32 * 64 + b.trailing_zeros())
-        })
     }
 }
 
@@ -426,36 +380,46 @@ pub struct ObservedMsg {
     pub kind: ObservedKind,
 }
 
-/// Per-router BGP state, flat over the dense prefix space.
+/// One prefix's BGP state at every router: the unit of copy-on-write
+/// and of sharding.
 ///
-/// `adj_in` and `loc_rib` are arrays indexed by pid — no sorted-map
-/// memmove on insert, no allocation per message. The per-session tables
-/// are bitsets over pids. The whole struct sits behind an `Arc` for
-/// copy-on-write engine clones.
-#[derive(Clone, Debug, Default)]
-struct RouterState {
-    /// Routes received per prefix (by pid), per session.
+/// `adj_in` and `loc_rib` are flat arrays indexed by router, so a prefix's
+/// convergence walks one contiguous column and allocates nothing per
+/// message. The Adj-RIB-Out is one bit per session endpoint (see
+/// [`out_bit`]). Every path a column's routes carry ends in the prefix's
+/// origin AS, so its [`PathPool`] is its own and no path id crosses
+/// columns. The whole struct sits behind an `Arc` for copy-on-write
+/// engine clones.
+#[derive(Clone, Debug)]
+struct Column {
+    /// Routes received per router (by router index), per session.
     adj_in: Vec<AdjCell>,
-    /// Pids this router originates.
-    originated: VecSet<Pid>,
-    /// Best route per prefix (by pid).
+    /// Best route per router (by router index).
     loc_rib: Vec<Option<StoredRoute>>,
-    /// Pids currently advertised per session.
-    adj_out: VecMap<SessionId, PidSet>,
-    /// Replay index: the pids present in `adj_in` per session, so a
-    /// session flush touches exactly its own prefixes instead of scanning
-    /// the whole Adj-RIB-In. Entries are removed when they empty out.
-    adj_in_by_session: VecMap<SessionId, PidSet>,
+    /// Routers originating the prefix.
+    originated: Vec<RouterId>,
+    /// Session endpoints currently advertising the prefix.
+    adj_out: Bits,
+    /// Interned AS paths of the prefix's routes.
+    paths: PathPool,
 }
 
-impl RouterState {
-    fn sized(prefixes: usize) -> Self {
-        RouterState {
-            adj_in: vec![AdjCell::default(); prefixes],
-            loc_rib: vec![None; prefixes],
-            ..Default::default()
+impl Column {
+    fn sized(routers: usize) -> Self {
+        Column {
+            adj_in: vec![AdjCell::default(); routers],
+            loc_rib: vec![None; routers],
+            originated: Vec::new(),
+            adj_out: Bits::default(),
+            paths: PathPool::new(),
         }
     }
+}
+
+/// The Adj-RIB-Out bit of `r`'s end of `session`.
+#[inline]
+fn out_bit(session: &Session, r: RouterId) -> u32 {
+    2 * session.id.0 + u32::from(r != session.a)
 }
 
 /// Statistics from a convergence run.
@@ -473,12 +437,11 @@ const MAX_MESSAGES_PER_RUN: u64 = 200_000_000;
 
 /// The BGP simulator for a whole topology.
 ///
-/// Per-router state sits behind [`Arc`]s so a `Bgp` clone is O(#routers)
-/// pointer bumps; mutation goes through [`Bgp::state_mut`], which clones a
-/// router's RIBs only when they are still shared with another engine clone
-/// (copy-on-write). The session table, prefix table and per-session policy
-/// metadata are immutable after construction and shared outright; the
-/// path pool is append-only and copy-on-write.
+/// Per-prefix [`Column`]s sit behind [`Arc`]s so a `Bgp` clone is
+/// O(#prefixes) pointer bumps; mutation goes through [`Bgp::col_mut`],
+/// which clones a column only when it is still shared with another engine
+/// clone (copy-on-write). The session table, prefix table and per-session
+/// policy metadata are immutable after construction and shared outright.
 #[derive(Clone, Debug)]
 pub struct Bgp {
     /// The session table (public for inspection; immutable after build).
@@ -487,9 +450,8 @@ pub struct Bgp {
     prefixes: Arc<Vec<Prefix>>,
     /// Per-session policy inputs (immutable after build).
     sess_meta: Arc<Vec<SessMeta>>,
-    /// Interned AS paths (append-only, copy-on-write).
-    paths: Arc<PathPool>,
-    routers: Vec<Arc<RouterState>>,
+    /// Per-prefix state, one column per pid (copy-on-write).
+    columns: Vec<Arc<Column>>,
     filters: ExportFilters,
     queue: VecDeque<Msg>,
     observer: Option<AsId>,
@@ -523,8 +485,8 @@ impl Bgp {
     }
 
     /// Creates the engine with empty RIBs and no routes originated, over
-    /// the prefix space of `origins` only: per-router RIBs hold one cell
-    /// per origin prefix, and only these ASes may be originated.
+    /// the prefix space of `origins` only: the engine holds one column per
+    /// origin prefix, and only these ASes may be originated.
     ///
     /// An engine that only ever originates a few ASes (a sensor placement
     /// originates its sensors' prefixes) is observationally identical to
@@ -577,9 +539,8 @@ impl Bgp {
             sessions,
             prefixes: Arc::new(prefixes),
             sess_meta: Arc::new(sess_meta),
-            paths: Arc::new(PathPool::new()),
-            routers: (0..topology.router_count())
-                .map(|_| Arc::new(RouterState::sized(n_prefixes)))
+            columns: (0..n_prefixes)
+                .map(|_| Arc::new(Column::sized(topology.router_count())))
                 .collect(),
             filters: ExportFilters::new(),
             queue: VecDeque::new(),
@@ -608,13 +569,13 @@ impl Bgp {
             .expect("originated AS outside the engine's prefix space")
     }
 
-    /// Interns path `tail` with `head` prepended, returning its stable
-    /// id. Breaks pool sharing only when the path is genuinely new to this
-    /// engine.
-    fn intern_path(&mut self, head: AsId, tail: u32) -> u32 {
-        match self.paths.ids.get(&(head, tail)) {
+    /// Interns path `tail` with `head` prepended in `pid`'s pool, returning
+    /// its stable id. Breaks column sharing only when the path is
+    /// genuinely new to this engine.
+    fn intern_path(&mut self, pid: Pid, head: AsId, tail: u32) -> u32 {
+        match self.col(pid).paths.ids.get(&(head, tail)) {
             Some(&id) => id,
-            None => Arc::make_mut(&mut self.paths).push(head, tail),
+            None => self.col_mut(pid).paths.push(head, tail),
         }
     }
 
@@ -689,27 +650,28 @@ impl Bgp {
         }
     }
 
-    /// Read access to a router's BGP state.
-    fn state(&self, r: RouterId) -> &RouterState {
-        &self.routers[r.index()]
+    /// Read access to a prefix's column.
+    #[inline]
+    fn col(&self, pid: Pid) -> &Column {
+        &self.columns[pid as usize]
     }
 
-    /// Write access to a router's BGP state, cloning it first when it is
+    /// Write access to a prefix's column, cloning it first when it is
     /// still shared with another engine clone (copy-on-write break).
-    fn state_mut(&mut self, r: RouterId) -> &mut RouterState {
-        let arc = &mut self.routers[r.index()];
+    fn col_mut(&mut self, pid: Pid) -> &mut Column {
+        let arc = &mut self.columns[pid as usize];
         if Arc::strong_count(arc) > 1 {
             self.cow_breaks += 1;
         }
         Arc::make_mut(arc)
     }
 
-    /// Forces every router's state to be uniquely owned (a full deep copy),
+    /// Forces every column to be uniquely owned (a full deep copy),
     /// detaching this engine from any sharing: the copy `Sim::deep_clone`
     /// makes as the copy-on-write test oracle.
     pub fn unshare_all(&mut self) {
-        for r in &mut self.routers {
-            Arc::make_mut(r);
+        for c in &mut self.columns {
+            Arc::make_mut(c);
         }
     }
 
@@ -753,7 +715,10 @@ impl Bgp {
             .filter(|&r| asn.routers.len() == 1 || ctx.topology.is_border_router(r))
             .collect();
         for r in originators {
-            self.state_mut(r).originated.insert(pid);
+            let col = self.col_mut(pid);
+            if !col.originated.contains(&r) {
+                col.originated.push(r);
+            }
             if self.decide(ctx, r, pid) {
                 self.propagate(ctx, r, pid);
             }
@@ -846,7 +811,7 @@ impl Bgp {
     ///
     /// Each origin converges to quiescence before the next is originated,
     /// in ascending pid order, so the queue holds one prefix's in-flight
-    /// messages and each drain touches one pid column of the RIBs. That is
+    /// messages and each drain touches one column. That is
     /// [`Bgp::run`]'s delivery order after originating every origin at
     /// once; only path-pool ids, which no route exposes, may be numbered
     /// differently.
@@ -871,15 +836,16 @@ impl Bgp {
     /// when an observer tap or a tracer is attached, since those record
     /// from one engine. The delivery order is the same either way.
     ///
-    /// The pid space is split into contiguous ranges, and each worker runs
-    /// [`Bgp::converge`] over the origins in its own range in an
-    /// independent copy-on-write fork of the engine. The forks' pid
-    /// columns are then merged back (with path-pool translation) in shard
-    /// order. Per-prefix state is disjoint, so the merged fixed point is
-    /// the one-thread convergence's and the total message count matches
-    /// exactly.
+    /// The pid space is split into contiguous ranges, one per worker. Each
+    /// worker is an engine that owns its range's columns: they move in
+    /// (leaving empty placeholders here), the worker runs
+    /// [`Bgp::converge`] over the origins in its range, and the columns
+    /// move back after the join. Only `Arc` pointers move; no cell is
+    /// copied and no path re-interned, because a prefix's routes and
+    /// paths live in its own column. The fixed point, the path ids and
+    /// the message count are the one-thread convergence's exactly.
     pub fn run_sharded(&mut self, ctx: Ctx<'_>, origins: &[AsId], threads: usize) -> RunStats {
-        let n_prefixes = self.prefixes.len();
+        let n_prefixes = self.columns.len();
         let threads = threads.clamp(1, n_prefixes.max(1));
         if threads <= 1 || self.observer.is_some() || self.trace_on {
             return self.converge(ctx, origins);
@@ -891,19 +857,19 @@ impl Bgp {
             let pid = self.origin_pid(ctx.topology, a) as usize;
             shards[bounds.partition_point(|&b| b <= pid) - 1].push(a);
         }
-        let base_paths = self.paths.paths.len();
-        // Pre-fork state pointers: a worker whose router Arc still matches
-        // never wrote to that router, so there is nothing to merge from it
-        // (comparing against `self`'s current Arcs would not work — merging
-        // an earlier shard already replaces them).
-        let base_arcs: Vec<*const RouterState> = self.routers.iter().map(Arc::as_ptr).collect();
-        let mut workers: Vec<Bgp> = (0..threads)
-            .map(|_| {
+        let placeholder = Arc::new(Column::sized(0));
+        let mut workers: Vec<Bgp> = bounds
+            .windows(2)
+            .map(|range| {
                 let mut w = self.clone();
-                // Decisions merge back explicitly below; workers must not
-                // flush them to the shared recorder mid-run.
+                w.columns = vec![Arc::clone(&placeholder); n_prefixes];
+                w.columns[range[0]..range[1]]
+                    .swap_with_slice(&mut self.columns[range[0]..range[1]]);
+                // Counters return explicitly below; workers must not flush
+                // them to the shared recorder mid-run.
                 w.recorder = RecorderHandle::noop();
                 w.decisions = 0;
+                w.cow_breaks = 0;
                 w
             })
             .collect();
@@ -918,50 +884,10 @@ impl Bgp {
                 .map(|h| h.join().expect("BGP shard worker panicked").messages)
                 .sum()
         });
-        for (k, w) in workers.into_iter().enumerate() {
+        for (w, range) in workers.iter_mut().zip(bounds.windows(2)) {
+            self.columns[range[0]..range[1]].swap_with_slice(&mut w.columns[range[0]..range[1]]);
             self.decisions += w.decisions;
-            // Translate paths the worker interned after the fork point into
-            // this engine's pool, in shard order (deterministic). A tail id
-            // is below its path's, so it is already translated.
-            let translate = |xlat: &[u32], id: u32| match (id as usize).checked_sub(base_paths) {
-                Some(i) => xlat[i],
-                None => id,
-            };
-            let mut xlat: Vec<u32> = Vec::new();
-            for id in base_paths..w.paths.paths.len() {
-                let tail = translate(&xlat, w.paths.tails[id]);
-                xlat.push(self.intern_path(w.paths.paths[id][0], tail));
-            }
-            let tr = move |id: u32| translate(&xlat, id);
-            let (lo, hi) = (bounds[k] as u32, bounds[k + 1] as u32);
-            for (ri, arc) in w.routers.iter().enumerate() {
-                if Arc::as_ptr(arc) == base_arcs[ri] {
-                    continue;
-                }
-                let src = Arc::clone(arc);
-                let dst = self.state_mut(RouterId(ri as u32));
-                for pid in lo..hi {
-                    // A worker only ever adds origination marks.
-                    if src.originated.contains(&pid) {
-                        dst.originated.insert(pid);
-                    }
-                    let mut cell = src.adj_in[pid as usize].clone();
-                    cell.map_paths(&tr);
-                    dst.adj_in[pid as usize] = cell;
-                    dst.loc_rib[pid as usize] = src.loc_rib[pid as usize].map(|mut sr| {
-                        sr.path = tr(sr.path);
-                        sr
-                    });
-                }
-                merge_bit_range(&mut dst.adj_out, &src.adj_out, lo, hi, false);
-                merge_bit_range(
-                    &mut dst.adj_in_by_session,
-                    &src.adj_in_by_session,
-                    lo,
-                    hi,
-                    true,
-                );
-            }
+            self.cow_breaks += w.cow_breaks;
         }
         self.flush_counters(messages)
     }
@@ -979,7 +905,7 @@ impl Bgp {
         };
         Route {
             prefix: self.prefixes[pid as usize],
-            as_path: *self.paths.get(sr.path),
+            as_path: *self.col(pid).paths.get(sr.path),
             egress: sr.egress,
             ebgp_link,
             local_pref: pref_of(sr.source),
@@ -1000,24 +926,24 @@ impl Bgp {
     /// The best route of `r` for exactly `prefix`.
     pub fn best_route(&self, r: RouterId, prefix: &Prefix) -> Option<Route> {
         let pid = self.pid_of(prefix)?;
-        self.state(r).loc_rib[pid as usize].map(|sr| self.materialize(r, pid, sr))
+        self.col(pid).loc_rib[r.index()].map(|sr| self.materialize(r, pid, sr))
     }
 
     /// Longest-prefix-match lookup in `r`'s Loc-RIB.
     pub fn lookup(&self, r: RouterId, dst: Ipv4Addr) -> Option<Route> {
-        let state = self.state(r);
         let mut best: Option<(Pid, StoredRoute)> = None;
-        for (i, slot) in state.loc_rib.iter().enumerate() {
-            let Some(sr) = slot else { continue };
-            let p = self.prefixes[i];
+        for (i, p) in self.prefixes.iter().enumerate() {
             if !p.contains(dst) {
                 continue;
             }
+            let Some(sr) = self.columns[i].loc_rib[r.index()] else {
+                continue;
+            };
             // Distinct prefixes of equal length cannot both contain `dst`,
             // so `<=` never actually breaks a tie; it mirrors the old
             // last-max semantics all the same.
             if best.is_none_or(|(bp, _)| self.prefixes[bp as usize].len() <= p.len()) {
-                best = Some((i as u32, *sr));
+                best = Some((i as u32, sr));
             }
         }
         best.map(|(pid, sr)| self.materialize(r, pid, sr))
@@ -1026,14 +952,9 @@ impl Bgp {
     /// Iterates over `r`'s Loc-RIB (prefix-ordered), materializing each
     /// route on demand.
     pub fn loc_rib(&self, r: RouterId) -> impl Iterator<Item = (Prefix, Route)> + '_ {
-        let state = self.state(r);
-        state
-            .loc_rib
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, slot)| {
-                slot.map(|sr| (self.prefixes[i], self.materialize(r, i as u32, sr)))
-            })
+        self.columns.iter().enumerate().filter_map(move |(i, col)| {
+            col.loc_rib[r.index()].map(|sr| (self.prefixes[i], self.materialize(r, i as u32, sr)))
+        })
     }
 
     /// Reacts to a link going down (the [`LinkState`] must already reflect
@@ -1102,12 +1023,10 @@ impl Bgp {
     /// at one pid never touches another pid's state at `r`, so the lazy
     /// scan visits exactly the pids an up-front snapshot would.
     fn replay_router(&mut self, ctx: Ctx<'_>, r: RouterId, count_scoped: bool) {
-        for pid in 0..self.prefixes.len() as Pid {
-            {
-                let state = self.state(r);
-                if state.adj_in[pid as usize].is_empty() && state.loc_rib[pid as usize].is_none() {
-                    continue;
-                }
+        for pid in 0..self.columns.len() as Pid {
+            let col = self.col(pid);
+            if col.adj_in[r.index()].is_empty() && col.loc_rib[r.index()].is_none() {
+                continue;
             }
             if count_scoped {
                 self.replay_prefixes += 1;
@@ -1187,8 +1106,8 @@ impl Bgp {
     /// Resyncs every session's Adj-RIB-Out of `r` with its current best
     /// routes (sends updates over sessions that missed them).
     fn readvertise_all(&mut self, ctx: Ctx<'_>, r: RouterId) {
-        for pid in 0..self.prefixes.len() as Pid {
-            if self.state(r).loc_rib[pid as usize].is_some() {
+        for pid in 0..self.columns.len() as Pid {
+            if self.col(pid).loc_rib[r.index()].is_some() {
                 self.propagate(ctx, r, pid);
             }
         }
@@ -1230,28 +1149,25 @@ impl Bgp {
                     .field("b", s.b.index())
             });
         }
-        // Drop in-flight messages on the session (they would be discarded at
-        // delivery anyway because the session is down).
+        // In-flight messages on the session stay queued: delivery discards
+        // them because the session is down.
         for r in [s.a, s.b] {
-            // Read-only pre-check so routers untouched by the session don't
-            // break copy-on-write sharing.
-            let touched = {
-                let state = self.state(r);
-                state.adj_out.contains_key(&sid) || state.adj_in_by_session.contains_key(&sid)
-            };
-            if !touched {
-                continue;
-            }
-            let state = self.state_mut(r);
-            state.adj_out.remove(&sid);
-            // The replay index hands us exactly the pids learned on this
-            // session (prefix-ordered), replacing a full Adj-RIB-In scan.
-            let affected: Vec<Pid> = match state.adj_in_by_session.remove(&sid) {
-                Some(set) => set.iter().collect(),
-                None => Vec::new(),
-            };
-            for &pid in &affected {
-                state.adj_in[pid as usize].remove(sid.0);
+            let bit = out_bit(&s, r);
+            let mut affected: Vec<Pid> = Vec::new();
+            for pid in 0..self.columns.len() as Pid {
+                let col = self.col(pid);
+                let learned = col.adj_in[r.index()].get(sid.0).is_some();
+                // Read-only pre-check so columns the session never touched
+                // don't break copy-on-write sharing.
+                if !learned && !col.adj_out.contains(bit) {
+                    continue;
+                }
+                let col = self.col_mut(pid);
+                col.adj_out.set(bit, false);
+                if learned {
+                    col.adj_in[r.index()].remove(sid.0);
+                    affected.push(pid);
+                }
             }
             self.replay_prefixes += affected.len() as u64;
             for pid in affected {
@@ -1308,14 +1224,7 @@ impl Bgp {
 
         match msg.payload {
             Payload::Update(rm) => match self.import(to, session, meta, rm) {
-                Some(sr) => {
-                    let state = self.state_mut(to);
-                    state.adj_in[pid as usize].upsert(sr);
-                    state
-                        .adj_in_by_session
-                        .entry_or_default(session)
-                        .insert(pid);
-                }
+                Some(sr) => self.col_mut(pid).adj_in[to.index()].upsert(sr),
                 None => {
                     // Loop-rejected update acts as a withdraw of any
                     // previous route on the session.
@@ -1332,16 +1241,8 @@ impl Bgp {
     /// Drops the route learned for `pid` on `session` at `to`, if any,
     /// without breaking copy-on-write when there is nothing to drop.
     fn remove_adj_in(&mut self, to: RouterId, pid: Pid, session: SessionId) {
-        let present = self.state(to).adj_in[pid as usize].get(session.0).is_some();
-        if present {
-            let state = self.state_mut(to);
-            state.adj_in[pid as usize].remove(session.0);
-            if let Some(set) = state.adj_in_by_session.get_mut(&session) {
-                set.remove(pid);
-                if set.is_empty() {
-                    state.adj_in_by_session.remove(&session);
-                }
-            }
+        if self.col(pid).adj_in[to.index()].get(session.0).is_some() {
+            self.col_mut(pid).adj_in[to.index()].remove(session.0);
         }
     }
 
@@ -1362,7 +1263,7 @@ impl Bgp {
                 } else {
                     (meta.b_as, meta.rel_at_b)
                 };
-                if self.paths.get(rm.path).contains(&my_as) {
+                if self.col(rm.pid).paths.get(rm.path).contains(&my_as) {
                     return None;
                 }
                 Some(StoredRoute {
@@ -1390,12 +1291,12 @@ impl Bgp {
     // hot
     fn decide(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) -> bool {
         self.decisions += 1;
-        let state = &self.routers[r.index()];
-        let best: Option<StoredRoute> = if state.originated.contains(&pid) {
+        let col = self.col(pid);
+        let best: Option<StoredRoute> = if col.originated.contains(&r) {
             Some(StoredRoute::originated(r))
         } else {
             let as_igp = ctx.igp.of(ctx.topology.as_of_router(r));
-            state.adj_in[pid as usize]
+            col.adj_in[r.index()]
                 .iter()
                 .filter(|sr| {
                     self.sess_up(ctx, SessionId(sr.session))
@@ -1428,11 +1329,11 @@ impl Bgp {
         // Only take write access when the entry actually changes, so a
         // no-op re-decision (the common case in `refresh_as` and in
         // withdraw storms that leave the best route alone) keeps the
-        // router's state shared.
-        if self.routers[r.index()].loc_rib[pid as usize] == best {
+        // column shared.
+        if col.loc_rib[r.index()] == best {
             return false;
         }
-        self.state_mut(r).loc_rib[pid as usize] = best;
+        self.col_mut(pid).loc_rib[r.index()] = best;
         true
     }
 
@@ -1440,7 +1341,7 @@ impl Bgp {
     /// of `r` for `pid`, queueing updates/withdraws.
     // hot
     fn propagate(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) {
-        let best: Option<StoredRoute> = self.state(r).loc_rib[pid as usize];
+        let best: Option<StoredRoute> = self.col(pid).loc_rib[r.index()];
         let sessions = Arc::clone(&self.sessions);
         // The eBGP prepend is identical for every peer of `r`; intern it
         // once, lazily, per propagate.
@@ -1457,36 +1358,26 @@ impl Bgp {
                 Some(b) => self.export(r, peer, session, pid, b, &mut prepended),
                 None => None,
             };
-            let had = self
-                .state(r)
-                .adj_out
-                .get(&sid)
-                .is_some_and(|s| s.contains(pid));
-            match advertise {
+            let bit = out_bit(&session, r);
+            let had = self.col(pid).adj_out.contains(bit);
+            let payload = match advertise {
                 Some(rm) => {
                     if !had {
-                        self.state_mut(r).adj_out.entry_or_default(sid).insert(pid);
+                        self.col_mut(pid).adj_out.set(bit, true);
                     }
-                    self.queue.push_back(Msg {
-                        session: sid,
-                        to: peer,
-                        payload: Payload::Update(rm),
-                    });
+                    Payload::Update(rm)
                 }
                 None if had => {
-                    self.state_mut(r)
-                        .adj_out
-                        .get_mut(&sid)
-                        .expect("had implies entry")
-                        .remove(pid);
-                    self.queue.push_back(Msg {
-                        session: sid,
-                        to: peer,
-                        payload: Payload::Withdraw(pid),
-                    });
+                    self.col_mut(pid).adj_out.set(bit, false);
+                    Payload::Withdraw(pid)
                 }
-                None => {}
-            }
+                None => continue,
+            };
+            self.queue.push_back(Msg {
+                session: sid,
+                to: peer,
+                payload,
+            });
         }
     }
 
@@ -1525,7 +1416,7 @@ impl Bgp {
         if !b.source.exportable_to(rel) {
             return None;
         }
-        if self.paths.get(b.path).contains(&peer_as) {
+        if self.col(pid).paths.get(b.path).contains(&peer_as) {
             return None; // AS-level split horizon
         }
         if b.session == session.id.0 {
@@ -1537,7 +1428,7 @@ impl Bgp {
         let (path, path_len) = match *prepended {
             Some(v) => v,
             None => {
-                let v = (self.intern_path(my_as, b.path), b.path_len + 1);
+                let v = (self.intern_path(pid, my_as, b.path), b.path_len + 1);
                 *prepended = Some(v);
                 v
             }
@@ -1549,53 +1440,6 @@ impl Bgp {
             egress: r,
             source: b.source,
         })
-    }
-}
-
-/// Copies the `[lo, hi)` bit range of every per-session pid set in `src`
-/// over the corresponding range in `dst` (shard merge: the worker only
-/// ever modified bits inside its own range). When `prune_empty`, entries
-/// left empty are removed — matching the sequential engine's maintenance
-/// of `adj_in_by_session`, which never retains an empty entry.
-fn merge_bit_range(
-    dst: &mut VecMap<SessionId, PidSet>,
-    src: &VecMap<SessionId, PidSet>,
-    lo: Pid,
-    hi: Pid,
-    prune_empty: bool,
-) {
-    let mut emptied: Vec<SessionId> = Vec::new();
-    for (&sid, set) in src.iter() {
-        let d = dst.entry_or_default(sid);
-        for pid in lo..hi {
-            if set.contains(pid) {
-                d.insert(pid);
-            } else {
-                d.remove(pid);
-            }
-        }
-        if prune_empty && d.is_empty() {
-            emptied.push(sid);
-        }
-    }
-    // Sessions the worker dropped entirely (its range emptied out): clear
-    // our copy of that range too.
-    let gone: Vec<SessionId> = dst
-        .keys()
-        .filter(|sid| !src.contains_key(sid))
-        .copied()
-        .collect();
-    for sid in gone {
-        let d = dst.get_mut(&sid).expect("key collected from dst");
-        for pid in lo..hi {
-            d.remove(pid);
-        }
-        if prune_empty && d.is_empty() {
-            emptied.push(sid);
-        }
-    }
-    for sid in emptied {
-        dst.remove(&sid);
     }
 }
 
@@ -1639,10 +1483,11 @@ mod tests {
                     oracle_paths.push(path);
                     oracle_paths.len() as u32 - 1
                 });
-                prop_assert_eq!(bgp.intern_path(AsId(head), tail), want);
+                prop_assert_eq!(bgp.intern_path(0, AsId(head), tail), want);
             }
-            prop_assert_eq!(&bgp.paths.paths, &oracle_paths);
-            for (id, &tail) in bgp.paths.tails.iter().enumerate().skip(1) {
+            let pool = &bgp.col(0).paths;
+            prop_assert_eq!(&pool.paths, &oracle_paths);
+            for (id, &tail) in pool.tails.iter().enumerate().skip(1) {
                 prop_assert!((tail as usize) < id, "tail {tail} of path {id}");
             }
         }

@@ -30,7 +30,6 @@ mod engine;
 mod policy;
 mod route;
 mod session;
-mod vecmap;
 
 pub use engine::{Bgp, Ctx, ObservedKind, ObservedMsg, RunStats};
 pub use policy::{ExportDeny, ExportFilters};

@@ -61,7 +61,7 @@ use rand::SeedableRng;
 
 use netdiag_experiments::bridge::{observations, routing_feed};
 use netdiag_experiments::explain::ExplainFilter;
-use netdiag_experiments::runner::{prepare_with, RunConfig};
+use netdiag_experiments::runner::{prepare_with, RunConfig, MAX_ATTEMPTS};
 use netdiag_experiments::sampling::{sample_failure, FailureSpec};
 use netdiag_netsim::{apply_failure, looking_glass_query, probe_mesh};
 use netdiag_obs::{LiveRecorder, Recorder, RecorderHandle, TraceRecorder};
@@ -289,7 +289,8 @@ fn simulate(args: Vec<String>) -> ExitCode {
             let net = netdiag_topology::builders::Internet::from_topology(topology);
             if net.cores.is_empty() || net.stubs.len() < 2 {
                 eprintln!(
-                    "custom topology needs at least one core AS (the troubleshooter)                      and two stub ASes (sensor hosts)"
+                    "custom topology needs at least one core AS (the troubleshooter) \
+                     and two stub ASes (sensor hosts)"
                 );
                 return ExitCode::FAILURE;
             }
@@ -312,10 +313,12 @@ fn simulate(args: Vec<String>) -> ExitCode {
     };
     let topology = ctx.sim.topology();
 
-    // Draw failures until one causes unreachability.
+    // Draw failures until one causes unreachability, at most as often as
+    // the trial loop does.
     let _trial = netdiag_obs::trial_scope(0, 0);
     let mut frng = StdRng::seed_from_u64(seed ^ 0xF00D);
-    let (failure, broken, after) = loop {
+    let mut drawn = None;
+    for _ in 0..MAX_ATTEMPTS {
         let Some(failure) = sample_failure(
             &ctx.sim,
             &ctx.mesh_before,
@@ -336,11 +339,14 @@ fn simulate(args: Vec<String>) -> ExitCode {
             probe_mesh(&broken, &ctx.sensors, &ctx.blocked)
         };
         if after.failed_count() > 0 {
-            break (failure, broken, after);
+            drawn = Some((failure, broken, after));
+            break;
         }
+    }
+    let Some((failure, mut broken, after)) = drawn else {
+        eprintln!("no failure of that class broke reachability in {MAX_ATTEMPTS} draws");
+        return ExitCode::FAILURE;
     };
-
-    let mut broken = broken;
     let observed = broken.take_observed();
     let igp_events = broken.take_igp_events();
     let obs = observations(&ctx.sensors, &ctx.mesh_before, &after);

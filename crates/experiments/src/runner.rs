@@ -216,7 +216,7 @@ pub struct TrialResult {
 /// troubleshooter is only invoked for failures that actually cause
 /// unreachability, so reroutable-only samples are redrawn (as in the
 /// paper, which counts only unreachability-causing failures).
-const MAX_ATTEMPTS: usize = 200;
+pub const MAX_ATTEMPTS: usize = 200;
 
 /// Per-placement scratch state of the production trial loop: one CoW clone
 /// of the healthy simulator plus its snapshot, reused across every trial

@@ -151,6 +151,42 @@ fn netdiag_custom_topology() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Two peering cores and two stubs dual-homed to both: no single link
+/// failure breaks reachability, so `simulate` must give up after the
+/// trial loop's draw cap instead of redrawing forever.
+#[test]
+fn netdiag_simulate_gives_up_when_no_failure_breaks_reachability() {
+    let dir = temp_dir("unbreakable");
+    let topo = dir.join("net.txt");
+    fs::write(
+        &topo,
+        "as C1 core\nas C2 core\nas S1 stub\nas S2 stub\n\
+         router C1 c1\nrouter C2 c2\nrouter S1 a1\nrouter S2 b1\n\
+         peer c1 c2\n\
+         provider c1 a1\nprovider c2 a1\nprovider c1 b1\nprovider c2 b1\n",
+    )
+    .unwrap();
+    let out = netdiag()
+        .args([
+            "simulate",
+            "--out",
+            dir.join("scenario").to_str().unwrap(),
+            "--topology",
+            topo.to_str().unwrap(),
+            "--sensors",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("broke reachability"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn netdiag_rejects_bad_input() {
     // Missing directory.

@@ -23,11 +23,12 @@ pub struct IgpLinkDown {
 
 /// All mutable routing state of a [`Sim`], captured at one instant.
 ///
-/// Taking a snapshot is cheap: per-AS IGP tables and per-router BGP RIBs
-/// live behind `Arc`s, so the capture is O(#ASes + #routers) pointer bumps.
-/// [`Sim::restore`] rolls the simulator back to the captured state, which
-/// lets one scratch simulator serve many failure experiments in a row
-/// instead of cloning a fresh simulator per experiment.
+/// Taking a snapshot is cheap: per-AS IGP tables and per-prefix BGP
+/// columns live behind `Arc`s, so the capture is O(#ASes + #prefixes)
+/// pointer bumps. [`Sim::restore`] rolls the simulator back to the
+/// captured state, which lets one scratch simulator serve many failure
+/// experiments in a row instead of cloning a fresh simulator per
+/// experiment.
 #[derive(Clone)]
 pub struct SimSnapshot {
     links: LinkState,
@@ -41,9 +42,9 @@ pub struct SimSnapshot {
 ///
 /// `Sim` is `Clone`, so a converged healthy network can be snapshotted once
 /// and each failure experiment applied to a fresh copy. Cloning is cheap
-/// (copy-on-write: shared state is only copied for the ASes/routers a
-/// mutation actually touches); [`Sim::deep_clone`] forces the full copy the
-/// seed implementation used to pay per clone.
+/// (copy-on-write: shared state is only copied for the ASes and prefixes
+/// a mutation actually touches); [`Sim::deep_clone`] forces the full copy
+/// the seed implementation used to pay per clone.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -211,13 +212,15 @@ impl Sim {
     }
 
     /// [`Sim::converge_all`] with the prefix space split over `threads`
-    /// workers ([`Bgp::run_sharded`]), each converging its own prefixes
-    /// one at a time as [`Sim::converge_for`] does. Routing toward one
-    /// prefix never reads another prefix's state in this model, so every
-    /// thread count reaches the same fixed point with the same message
-    /// count, asserted by the equivalence tests. With `threads <= 1`, or
-    /// with an observer or tracer attached (each records from one
-    /// engine), this is [`Sim::converge_for`] over every AS.
+    /// workers ([`Bgp::run_sharded`]). Each worker takes ownership of its
+    /// prefixes' BGP columns, converges those prefixes one at a time as
+    /// [`Sim::converge_for`] does, and hands the columns back. Routing
+    /// toward one prefix never reads another prefix's state in this
+    /// model, so every thread count reaches the same state with the same
+    /// message count, asserted by the equivalence tests. With
+    /// `threads <= 1`, or with an observer or tracer attached (each
+    /// records from one engine), this is [`Sim::converge_for`] over every
+    /// AS.
     pub fn converge_all_sharded(&mut self, threads: usize) {
         let ids: Vec<AsId> = self.topology.ases().iter().map(|a| a.id).collect();
         let ctx = Ctx {

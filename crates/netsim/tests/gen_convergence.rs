@@ -10,14 +10,17 @@ use std::sync::Arc;
 
 use netdiag_netsim::Sim;
 use netdiag_topology::gen::{generate, GenConfig};
-use netdiag_topology::PeerKind;
+use netdiag_topology::{LinkId, LinkKind, PeerKind};
 
 /// Sequential vs. parallel-IGP + sharded-BGP convergence of the same
 /// 200-AS generated internet. "Same fixed point" is not enough: the
-/// merge logic in `Bgp::run_sharded` promises the *exact* state the
-/// sequential run produces, so the full Loc-RIB of every router —
-/// paths, egresses, learned-from sessions, local-prefs — and the total
-/// message count must match field for field.
+/// shard workers converge the columns they own and hand them back, and
+/// that must leave the *exact* state the sequential run produces, so the
+/// full Loc-RIB of every router — paths, egresses, learned-from sessions,
+/// local-prefs — and the total message count must match field for field.
+/// The engine the workers built must then replay failures the same way:
+/// both sims fail an inter-domain and an intra-domain link and repair
+/// both, and must agree after every step.
 #[test]
 fn sharded_convergence_is_byte_identical_to_sequential() {
     let cfg = GenConfig::new(200, 7);
@@ -29,16 +32,50 @@ fn sharded_convergence_is_byte_identical_to_sequential() {
     let mut par = Sim::new_parallel(Arc::clone(&topology), 3);
     par.converge_all_sharded(3);
 
-    assert_eq!(
-        seq.bgp_messages(),
-        par.bgp_messages(),
-        "sharding must not create or suppress messages"
-    );
-    for r in topology.routers() {
-        let a: Vec<_> = seq.bgp().loc_rib(r.id).collect();
-        let b: Vec<_> = par.bgp().loc_rib(r.id).collect();
-        assert_eq!(a, b, "Loc-RIB of router {:?} diverged", r.id);
+    let assert_same = |seq: &Sim, par: &Sim, step: &str| {
+        assert_eq!(
+            seq.bgp_messages(),
+            par.bgp_messages(),
+            "{step}: sharding must not create or suppress messages"
+        );
+        for r in topology.routers() {
+            let a: Vec<_> = seq.bgp().loc_rib(r.id).collect();
+            let b: Vec<_> = par.bgp().loc_rib(r.id).collect();
+            assert_eq!(a, b, "{step}: Loc-RIB of router {:?} diverged", r.id);
+        }
+    };
+    assert_same(&seq, &par, "convergence");
+
+    let link_of = |kind: LinkKind| {
+        let links: Vec<LinkId> = topology
+            .links()
+            .iter()
+            .filter(|l| l.kind == kind)
+            .map(|l| l.id)
+            .collect();
+        links[links.len() / 2]
+    };
+    let (inter, intra) = (link_of(LinkKind::Inter), link_of(LinkKind::Intra));
+    let before = seq.bgp_messages();
+    for (step, link, fail) in [
+        ("fail inter", inter, true),
+        ("fail intra", intra, true),
+        ("repair inter", inter, false),
+        ("repair intra", intra, false),
+    ] {
+        for sim in [&mut seq, &mut par] {
+            if fail {
+                sim.fail_link(link);
+            } else {
+                sim.repair_link(link);
+            }
+        }
+        assert_same(&seq, &par, step);
     }
+    assert!(
+        seq.bgp_messages() > before,
+        "the failures must have replayed some messages"
+    );
 }
 
 /// Every AS path selected anywhere in a converged 200-AS generated

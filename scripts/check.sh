@@ -56,9 +56,11 @@ echo "== internet-scale smoke (netdiag gen -> converge, 1k ASes, 1 and 2 threads
 # parallel-IGP + sharded path, and asserts the RIB is full (every router
 # holds a route to every AS's prefix). Both must deliver the pinned,
 # deterministic message count.
+gen_jsons=()
 for threads in 1 2; do
     gen_json="$(cargo run -q --release -p netdiag-experiments --bin netdiag -- \
         gen --ases 1000 --seed 1 --converge --threads "$threads" --json)"
+    gen_jsons+=("$gen_json")
     python3 - "$gen_json" <<'PY'
 import json, sys
 r = json.loads(sys.argv[1])
@@ -68,6 +70,14 @@ print(f"{r['threads']} thread(s): full RIB, {r['rib_routes']} routes, "
       f"{r['messages']} messages in {r['converge_ms']:.0f}ms")
 PY
 done
+# Shard workers take ownership of their prefixes' columns and hand them
+# back, so two threads must not hold a second copy of the RIBs.
+python3 - "${gen_jsons[@]}" <<'PY'
+import json, sys
+one, two = (json.loads(a)["rss_peak_kb"] for a in sys.argv[1:3])
+assert two <= 1.5 * one, f"2-thread peak RSS {two} kB exceeds 1.5x the 1-thread {one} kB"
+print(f"peak RSS: 1 thread {one} kB, 2 threads {two} kB ({two / one:.2f}x)")
+PY
 
 echo "== trace smoke (simulate -> diagnose --trace -> explain) =="
 tracedir="$(mktemp -d)"
