@@ -437,8 +437,8 @@ const MAX_MESSAGES_PER_RUN: u64 = 200_000_000;
 
 /// The BGP simulator for a whole topology.
 ///
-/// Per-prefix [`Column`]s sit behind [`Arc`]s so a `Bgp` clone is
-/// O(#prefixes) pointer bumps; mutation goes through [`Bgp::col_mut`],
+/// Per-prefix `Column`s sit behind [`Arc`]s so a `Bgp` clone is
+/// O(#prefixes) pointer bumps; mutation goes through `Bgp::col_mut`,
 /// which clones a column only when it is still shared with another engine
 /// clone (copy-on-write). The session table, prefix table and per-session
 /// policy metadata are immutable after construction and shared outright.
@@ -664,15 +664,6 @@ impl Bgp {
             self.cow_breaks += 1;
         }
         Arc::make_mut(arc)
-    }
-
-    /// Forces every column to be uniquely owned (a full deep copy),
-    /// detaching this engine from any sharing: the copy `Sim::deep_clone`
-    /// makes as the copy-on-write test oracle.
-    pub fn unshare_all(&mut self) {
-        for c in &mut self.columns {
-            Arc::make_mut(c);
-        }
     }
 
     /// Designates the AS whose received eBGP messages are recorded.

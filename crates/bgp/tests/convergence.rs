@@ -5,6 +5,7 @@
 #![allow(clippy::unwrap_used)]
 use netdiag_bgp::{Bgp, Ctx, ExportDeny, ObservedKind};
 use netdiag_igp::{Igp, LinkState};
+use netdiag_obs::RecorderHandle;
 use netdiag_topology::{AsId, AsKind, LinkRelationship, RouterId, Topology, TopologyBuilder};
 
 /// Full simulator bundle for tests.
@@ -42,7 +43,8 @@ impl Net {
         let as_a = self.topology.as_of_router(a);
         let as_b = self.topology.as_of_router(b);
         if as_a == as_b {
-            self.igp.recompute_as(&self.topology, as_a, &self.links);
+            self.igp
+                .recompute_as(&self.topology, as_a, &self.links, &RecorderHandle::noop());
         }
         let ctx = Ctx {
             topology: &self.topology,
@@ -436,7 +438,8 @@ fn intra_partition_heal_restores_routes() {
     assert_eq!(net.as_path(c1, AsId(2)), None, "partitioned");
     let l = net.topology.link_between(c1, c2).unwrap();
     net.links.set_up(l);
-    net.igp.recompute_as(&net.topology, AsId(0), &net.links);
+    net.igp
+        .recompute_as(&net.topology, AsId(0), &net.links, &RecorderHandle::noop());
     let ctx = Ctx {
         topology: &net.topology,
         igp: &net.igp,

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 use netdiag_bgp::{Bgp, Ctx};
 use netdiag_igp::{Igp, LinkState};
+use netdiag_obs::RecorderHandle;
 use netdiag_topology::builders::{build_internet, InternetConfig};
 use netdiag_topology::{AsId, LinkId, PeerKind, Topology};
 
@@ -136,7 +137,8 @@ proptest! {
         let l = w.topology.link(link);
         let as_a = w.topology.as_of_router(l.a);
         if as_a == w.topology.as_of_router(l.b) {
-            w.igp.recompute_as(&w.topology, as_a, &w.links);
+            w.igp
+                .recompute_as(&w.topology, as_a, &w.links, &RecorderHandle::noop());
         }
         let ctx = Ctx { topology: &w.topology, igp: &w.igp, links: &w.links };
         w.bgp.handle_link_down(ctx, link);

@@ -98,8 +98,9 @@ impl World {
         for &l in &flipped {
             let link = t.link(l);
             if link.kind == LinkKind::Intra {
+                let as_id = t.as_of_router(link.a);
                 self.igp
-                    .recompute_as(t, t.as_of_router(link.a), &self.links);
+                    .recompute_as(t, as_id, &self.links, &RecorderHandle::noop());
             }
         }
         let ctx = Ctx {

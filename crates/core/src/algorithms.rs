@@ -1,5 +1,6 @@
 //! The four diagnosis algorithms of the paper: Tomo, ND-edge, ND-bgpigp
-//! and ND-LG.
+//! and ND-LG, run by one pipeline ([`run`]) whose steps the [`Algorithm`]
+//! variant picks.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -12,52 +13,165 @@ use crate::hitting_set::Weights;
 use crate::observation::{Hop, IpToAs, LookingGlass, Observations, ProbePath, RoutingFeed};
 use crate::problem::{BuildOptions, Problem};
 
+/// Which diagnosis algorithm to run.
+///
+/// The four variants are one pipeline that grows a step at a time; the
+/// methods below name the steps a variant takes, and [`run`] takes them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub enum Algorithm {
+    /// Plain multi-AS Boolean tomography (§2).
+    Tomo,
+    /// Logical links + reroute sets (§3.1–3.2) — the best choice without
+    /// ISP cooperation.
+    #[default]
+    NdEdge,
+    /// ND-edge + AS-X's control plane (§3.3) — requires a routing feed.
+    NdBgpIgp,
+    /// ND-bgpigp + Looking Glass mapping of unidentified hops (§3.4).
+    NdLg,
+}
+
+impl Algorithm {
+    /// Every variant, in paper order.
+    pub const ALL: [Algorithm; 4] = [
+        Algorithm::Tomo,
+        Algorithm::NdEdge,
+        Algorithm::NdBgpIgp,
+        Algorithm::NdLg,
+    ];
+
+    /// The canonical (CLI and [`Display`](std::fmt::Display)) name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::Tomo => "tomo",
+            Algorithm::NdEdge => "nd-edge",
+            Algorithm::NdBgpIgp => "nd-bgpigp",
+            Algorithm::NdLg => "nd-lg",
+        }
+    }
+
+    /// How the variant builds its problem.
+    pub(crate) fn build_options(self) -> BuildOptions {
+        match self {
+            Algorithm::Tomo => BuildOptions::tomo(),
+            Algorithm::NdEdge | Algorithm::NdBgpIgp => BuildOptions::nd_edge(),
+            Algorithm::NdLg => BuildOptions::nd_lg(),
+        }
+    }
+
+    /// True when the variant refines its problem with AS-X's routing
+    /// feed (§3.3).
+    pub fn reads_feed(self) -> bool {
+        matches!(self, Algorithm::NdBgpIgp | Algorithm::NdLg)
+    }
+
+    /// True when the variant maps unidentified hops with Looking Glass
+    /// queries and clusters the links between them (§3.4).
+    pub fn reads_looking_glass(self) -> bool {
+        self == Algorithm::NdLg
+    }
+
+    /// The greedy scoring weights the variant runs with: Tomo ignores
+    /// reroute sets (`a = 1, b = 0`); the others take `configured`.
+    pub(crate) fn weights(self, configured: Weights) -> Weights {
+        match self {
+            Algorithm::Tomo => Weights { a: 1, b: 0 },
+            _ => configured,
+        }
+    }
+}
+
+impl std::fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Algorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "tomo" => Ok(Algorithm::Tomo),
+            "nd-edge" | "nd_edge" => Ok(Algorithm::NdEdge),
+            "nd-bgpigp" | "nd_bgpigp" => Ok(Algorithm::NdBgpIgp),
+            "nd-lg" | "nd_lg" => Ok(Algorithm::NdLg),
+            other => Err(format!("unknown algorithm {other:?}")),
+        }
+    }
+}
+
+/// Runs `algorithm` on `obs`: the one diagnosis pipeline behind the
+/// paper-named functions, [`NetDiagnoser`](crate::NetDiagnoser) and the
+/// experiment runner.
+///
+/// Builds the variant's problem (Tomo: pre-failure graph only; ND-edge
+/// and ND-bgpigp: plus logical links and reroute sets; ND-LG: plus
+/// unidentified links as candidates), tags unidentified hops from `lg`
+/// when the variant [reads a Looking Glass](Algorithm::reads_looking_glass),
+/// refines the problem with `feed` when it
+/// [reads the feed](Algorithm::reads_feed), then runs the greedy hitting
+/// set (with ND-LG's link clusters) under `weights`, or Tomo's fixed
+/// `a = 1, b = 0`. Inputs the variant does not read are ignored; one it
+/// reads but that is `None` skips its step.
+pub fn run(
+    algorithm: Algorithm,
+    obs: &Observations,
+    ip2as: &dyn IpToAs,
+    feed: Option<&RoutingFeed>,
+    lg: Option<&dyn LookingGlass>,
+    weights: Weights,
+    recorder: &RecorderHandle,
+) -> Diagnosis {
+    recorder.event(names::EV_DIAG_START, || {
+        netdiag_obs::EventPayload::new().field("algorithm", algorithm.name())
+    });
+    let mut problem = Problem::build_recorded(obs, ip2as, algorithm.build_options(), recorder);
+    if let Some(lg) = lg.filter(|_| algorithm.reads_looking_glass()) {
+        tag_unidentified_hops(&mut problem, obs, ip2as, lg);
+    }
+    if let Some(feed) = feed.filter(|_| algorithm.reads_feed()) {
+        problem.apply_feed_recorded(obs, feed, recorder);
+    }
+    trace_problem(&problem, recorder);
+    let mut instance = problem.instance();
+    if algorithm.reads_looking_glass() {
+        instance.clusters = build_clusters(&problem);
+    }
+    let greedy = instance.greedy_recorded(algorithm.weights(weights), recorder);
+    finish(Diagnosis::new(problem, greedy), algorithm.name(), recorder)
+}
+
 /// **Tomo** (§2.4): multi-source multi-destination Boolean tomography on
 /// the pre-failure graph — the greedy minimum-hitting-set heuristic of
 /// Algorithm 1. Uses only the pre-failure paths plus the post-failure
 /// reachability matrix; no logical links, no reroute information.
 pub fn tomo(obs: &Observations, ip2as: &dyn IpToAs) -> Diagnosis {
-    tomo_recorded(obs, ip2as, &RecorderHandle::noop())
-}
-
-/// [`tomo`] reporting diagnosis counters to `recorder`.
-pub fn tomo_recorded(
-    obs: &Observations,
-    ip2as: &dyn IpToAs,
-    recorder: &RecorderHandle,
-) -> Diagnosis {
-    recorder.event(names::EV_DIAG_START, || {
-        netdiag_obs::EventPayload::new().field("algorithm", "tomo")
-    });
-    let problem = Problem::build_recorded(obs, ip2as, BuildOptions::tomo(), recorder);
-    trace_problem(&problem, recorder);
-    let greedy = problem
-        .instance()
-        .greedy_recorded(Weights { a: 1, b: 0 }, recorder);
-    finish(Diagnosis::new(problem, greedy), "tomo", recorder)
+    run(
+        Algorithm::Tomo,
+        obs,
+        ip2as,
+        None,
+        None,
+        Weights::default(),
+        &RecorderHandle::noop(),
+    )
 }
 
 /// **ND-edge** (§3.1–§3.2): Tomo plus logical links (per-neighbor
 /// inter-domain link splitting, catching router misconfigurations) and
 /// reroute sets mined from the post-failure paths.
 pub fn nd_edge(obs: &Observations, ip2as: &dyn IpToAs, weights: Weights) -> Diagnosis {
-    nd_edge_recorded(obs, ip2as, weights, &RecorderHandle::noop())
-}
-
-/// [`nd_edge`] reporting diagnosis counters to `recorder`.
-pub fn nd_edge_recorded(
-    obs: &Observations,
-    ip2as: &dyn IpToAs,
-    weights: Weights,
-    recorder: &RecorderHandle,
-) -> Diagnosis {
-    recorder.event(names::EV_DIAG_START, || {
-        netdiag_obs::EventPayload::new().field("algorithm", "nd-edge")
-    });
-    let problem = Problem::build_recorded(obs, ip2as, BuildOptions::nd_edge(), recorder);
-    trace_problem(&problem, recorder);
-    let greedy = problem.instance().greedy_recorded(weights, recorder);
-    finish(Diagnosis::new(problem, greedy), "nd-edge", recorder)
+    run(
+        Algorithm::NdEdge,
+        obs,
+        ip2as,
+        None,
+        None,
+        weights,
+        &RecorderHandle::noop(),
+    )
 }
 
 /// **ND-bgpigp** (§3.3): ND-edge refined with AS-X's control plane — IGP
@@ -69,25 +183,15 @@ pub fn nd_bgpigp(
     feed: &RoutingFeed,
     weights: Weights,
 ) -> Diagnosis {
-    nd_bgpigp_recorded(obs, ip2as, feed, weights, &RecorderHandle::noop())
-}
-
-/// [`nd_bgpigp`] reporting diagnosis and feed counters to `recorder`.
-pub fn nd_bgpigp_recorded(
-    obs: &Observations,
-    ip2as: &dyn IpToAs,
-    feed: &RoutingFeed,
-    weights: Weights,
-    recorder: &RecorderHandle,
-) -> Diagnosis {
-    recorder.event(names::EV_DIAG_START, || {
-        netdiag_obs::EventPayload::new().field("algorithm", "nd-bgpigp")
-    });
-    let mut problem = Problem::build_recorded(obs, ip2as, BuildOptions::nd_edge(), recorder);
-    problem.apply_feed_recorded(obs, feed, recorder);
-    trace_problem(&problem, recorder);
-    let greedy = problem.instance().greedy_recorded(weights, recorder);
-    finish(Diagnosis::new(problem, greedy), "nd-bgpigp", recorder)
+    run(
+        Algorithm::NdBgpIgp,
+        obs,
+        ip2as,
+        Some(feed),
+        None,
+        weights,
+        &RecorderHandle::noop(),
+    )
 }
 
 /// **ND-LG** (§3.4): ND-bgpigp extended to handle blocked traceroutes.
@@ -101,29 +205,15 @@ pub fn nd_lg(
     lg: &dyn LookingGlass,
     weights: Weights,
 ) -> Diagnosis {
-    nd_lg_recorded(obs, ip2as, feed, lg, weights, &RecorderHandle::noop())
-}
-
-/// [`nd_lg`] reporting diagnosis and feed counters to `recorder`.
-pub fn nd_lg_recorded(
-    obs: &Observations,
-    ip2as: &dyn IpToAs,
-    feed: &RoutingFeed,
-    lg: &dyn LookingGlass,
-    weights: Weights,
-    recorder: &RecorderHandle,
-) -> Diagnosis {
-    recorder.event(names::EV_DIAG_START, || {
-        netdiag_obs::EventPayload::new().field("algorithm", "nd-lg")
-    });
-    let mut problem = Problem::build_recorded(obs, ip2as, BuildOptions::nd_lg(), recorder);
-    tag_unidentified_hops(&mut problem, obs, ip2as, lg);
-    problem.apply_feed_recorded(obs, feed, recorder);
-    trace_problem(&problem, recorder);
-    let mut instance = problem.instance();
-    instance.clusters = build_clusters(&problem);
-    let greedy = instance.greedy_recorded(weights, recorder);
-    finish(Diagnosis::new(problem, greedy), "nd-lg", recorder)
+    run(
+        Algorithm::NdLg,
+        obs,
+        ip2as,
+        Some(feed),
+        Some(lg),
+        weights,
+        &RecorderHandle::noop(),
+    )
 }
 
 /// Emits the problem-shape trace event after construction (and feed

@@ -1,8 +1,8 @@
 //! [`DiagnosticsConfig`]: every knob of a diagnosis run in one value.
 //!
-//! Before this type, the algorithm choice, greedy weights and lenient-input
-//! flag lived as separate builder setters, and reporting thresholds did not
-//! exist at all — each CLI and the experiment runner carried its own ad-hoc
+//! Before this type, the algorithm choice and greedy weights lived as
+//! separate builder setters, and reporting thresholds did not exist at
+//! all — each CLI and the experiment runner carried its own ad-hoc
 //! subset. The config travels whole: the [`NetDiagnoser`] builder accepts
 //! it via [`config`](crate::NetDiagnoserBuilder::config), the experiment
 //! runner embeds it in its `RunConfig`, and the serve daemon forwards
@@ -10,27 +10,23 @@
 //!
 //! [`NetDiagnoser`]: crate::NetDiagnoser
 
-use crate::facade::Algorithm;
+use crate::algorithms::Algorithm;
 use crate::hitting_set::Weights;
 
 /// All tunables of a diagnosis run: which algorithm, how the greedy
-/// hitting set scores candidates, how missing inputs are treated, and the
-/// reporting thresholds applied when the result is turned into a
+/// hitting set scores candidates, and the reporting thresholds applied
+/// when the result is turned into a
 /// [`DiagnosticReport`](crate::DiagnosticReport).
 ///
-/// The default value reproduces the paper's setup (ND-edge, `a = b = 1`,
-/// strict inputs) with reporting thresholds disabled, so a default-config
-/// report renders byte-identically to the historical flat-text report.
+/// The default value reproduces the paper's setup (ND-edge, `a = b = 1`)
+/// with reporting thresholds disabled, so a default-config report renders
+/// byte-identically to the historical flat-text report.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiagnosticsConfig {
     /// The diagnosis algorithm variant to run.
     pub algorithm: Algorithm,
     /// Greedy scoring weights (§3.2; paper default `a = b = 1`).
     pub weights: Weights,
-    /// Run feed-dependent algorithms even without a feed (or, for ND-LG,
-    /// without a Looking Glass), substituting an ISP that observed
-    /// nothing. Default `false`: missing inputs are an error.
-    pub allow_missing_inputs: bool,
     /// Minimum per-issue confidence for a finding to appear in the
     /// report. `0.0` (the default) reports everything. The
     /// unexplained-failure warning is never suppressed — low confidence
@@ -51,7 +47,6 @@ impl Default for DiagnosticsConfig {
         DiagnosticsConfig {
             algorithm: Algorithm::default(),
             weights: Weights::default(),
-            allow_missing_inputs: false,
             min_confidence: 0.0,
             max_issues: 0,
             unexplained_escalation: 0,
@@ -78,7 +73,6 @@ mod tests {
         let cfg = DiagnosticsConfig::default();
         assert_eq!(cfg.algorithm, Algorithm::NdEdge);
         assert_eq!(cfg.weights, Weights { a: 1, b: 1 });
-        assert!(!cfg.allow_missing_inputs);
         assert_eq!(cfg.min_confidence, 0.0);
         assert_eq!(cfg.max_issues, 0);
         assert_eq!(cfg.unexplained_escalation, 0);

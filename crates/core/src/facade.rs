@@ -1,14 +1,13 @@
 //! A one-stop configuration facade over the four algorithms — convenient
-//! for downstream users who pick the variant at runtime (the CLI, the
-//! experiment harness and the serve daemon go through it too).
+//! for downstream users who pick the variant at runtime (the `netdiag`
+//! CLI and the serve daemon go through it; the experiment runner calls
+//! [`run`](crate::run) for every variant of a trial directly).
 //!
 //! The entry point is [`NetDiagnoser::builder`]: configure the algorithm,
 //! weights and optional inputs once, then call
 //! [`diagnose`](NetDiagnoser::diagnose) (or
 //! [`report`](NetDiagnoser::report)) per incident. Algorithms that depend
-//! on an input refuse to run without it ([`DiagnoseError`]) unless
-//! [`allow_missing_inputs`](NetDiagnoserBuilder::allow_missing_inputs)
-//! opts back into the lenient empty-substitute behaviour.
+//! on an input refuse to run without it ([`DiagnoseError`]).
 //!
 //! The builder *owns* its inputs (behind [`Arc`], so sharing is cheap): a
 //! built [`NetDiagnoser`] is `Send + Sync + 'static` and can be cloned
@@ -19,68 +18,12 @@ use std::sync::Arc;
 
 use netdiag_obs::{names, RecorderHandle};
 
-use crate::algorithms::{nd_bgpigp_recorded, nd_edge_recorded, nd_lg_recorded, tomo_recorded};
+use crate::algorithms::{run, Algorithm};
 use crate::config::DiagnosticsConfig;
 use crate::diagnosis::Diagnosis;
 use crate::hitting_set::Weights;
 use crate::observation::{IpToAs, LookingGlass, Observations, RoutingFeed};
 use crate::report::DiagnosticReport;
-
-/// Which diagnosis algorithm to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum Algorithm {
-    /// Plain multi-AS Boolean tomography (§2).
-    Tomo,
-    /// Logical links + reroute sets (§3.1–3.2) — the best choice without
-    /// ISP cooperation.
-    #[default]
-    NdEdge,
-    /// ND-edge + AS-X's control plane (§3.3) — requires a routing feed.
-    NdBgpIgp,
-    /// ND-bgpigp + Looking Glass mapping of unidentified hops (§3.4).
-    NdLg,
-}
-
-impl Algorithm {
-    /// Every variant, in paper order.
-    pub const ALL: [Algorithm; 4] = [
-        Algorithm::Tomo,
-        Algorithm::NdEdge,
-        Algorithm::NdBgpIgp,
-        Algorithm::NdLg,
-    ];
-
-    /// The canonical (CLI and [`Display`](std::fmt::Display)) name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Tomo => "tomo",
-            Algorithm::NdEdge => "nd-edge",
-            Algorithm::NdBgpIgp => "nd-bgpigp",
-            Algorithm::NdLg => "nd-lg",
-        }
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Algorithm {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "tomo" => Ok(Algorithm::Tomo),
-            "nd-edge" | "nd_edge" => Ok(Algorithm::NdEdge),
-            "nd-bgpigp" | "nd_bgpigp" => Ok(Algorithm::NdBgpIgp),
-            "nd-lg" | "nd_lg" => Ok(Algorithm::NdLg),
-            other => Err(format!("unknown algorithm {other:?}")),
-        }
-    }
-}
 
 /// Why [`NetDiagnoser::diagnose`] refused to run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,34 +45,17 @@ impl std::fmt::Display for DiagnoseError {
         match self {
             DiagnoseError::MissingFeed { algorithm } => write!(
                 f,
-                "{algorithm} needs a routing feed; configure one with \
-                 `.routing_feed(..)` or opt into an empty substitute with \
-                 `.allow_missing_inputs()`"
+                "{algorithm} needs a routing feed; configure one with `.routing_feed(..)`"
             ),
             DiagnoseError::MissingLookingGlass => write!(
                 f,
-                "nd-lg needs a Looking Glass; configure one with \
-                 `.looking_glass(..)` or opt into leaving unidentified \
-                 hops unmapped with `.allow_missing_inputs()`"
+                "nd-lg needs a Looking Glass; configure one with `.looking_glass(..)`"
             ),
         }
     }
 }
 
 impl std::error::Error for DiagnoseError {}
-
-/// A Looking Glass with no servers at all (lenient ND-LG fallback).
-struct NoLg;
-
-impl LookingGlass for NoLg {
-    fn as_path(
-        &self,
-        _: netdiag_topology::AsId,
-        _: std::net::Ipv4Addr,
-    ) -> Option<Vec<netdiag_topology::AsId>> {
-        None
-    }
-}
 
 /// Configures a [`NetDiagnoser`].
 ///
@@ -168,8 +94,8 @@ impl NetDiagnoserBuilder {
         self
     }
 
-    /// Replaces the whole diagnostics configuration — algorithm, weights,
-    /// lenient-input flag and reporting thresholds in one value (see
+    /// Replaces the whole diagnostics configuration — algorithm, weights
+    /// and reporting thresholds in one value (see
     /// [`DiagnosticsConfig`]). Later individual setters still apply on
     /// top.
     pub fn config(mut self, config: DiagnosticsConfig) -> Self {
@@ -197,26 +123,11 @@ impl NetDiagnoserBuilder {
         self
     }
 
-    /// Attaches an already-shared Looking Glass (e.g. one long-lived
-    /// oracle serving many concurrent diagnosers).
-    pub fn looking_glass_shared(mut self, lg: Arc<dyn LookingGlass + Send + Sync>) -> Self {
-        self.lg = Some(lg);
-        self
-    }
-
     /// Attaches an instrumentation recorder; every diagnosis reports its
     /// greedy iterations, candidate-set size, feed refinements and
     /// hypothesis size to it (default: the no-op recorder).
     pub fn recorder(mut self, recorder: RecorderHandle) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Runs feed-dependent algorithms even when no feed (or, for ND-LG,
-    /// no Looking Glass) is configured, substituting an ISP that observed
-    /// nothing — the behaviour of the old constructor API.
-    pub fn allow_missing_inputs(mut self) -> Self {
-        self.config.allow_missing_inputs = true;
         self
     }
 
@@ -289,48 +200,35 @@ impl NetDiagnoser {
         &self.config
     }
 
-    /// Runs the configured diagnosis.
+    /// Runs the configured diagnosis ([`run`](crate::run)).
     ///
-    /// Fails with [`DiagnoseError::MissingFeed`] when
-    /// [`Algorithm::NdBgpIgp`] or [`Algorithm::NdLg`] was selected without
-    /// a [`routing_feed`](NetDiagnoserBuilder::routing_feed), and with
-    /// [`DiagnoseError::MissingLookingGlass`] when [`Algorithm::NdLg`] was
-    /// selected without a
-    /// [`looking_glass`](NetDiagnoserBuilder::looking_glass) — unless the
-    /// builder opted into
-    /// [`allow_missing_inputs`](NetDiagnoserBuilder::allow_missing_inputs).
+    /// Fails with [`DiagnoseError::MissingFeed`] when the algorithm
+    /// [reads a feed](Algorithm::reads_feed) but no
+    /// [`routing_feed`](NetDiagnoserBuilder::routing_feed) was configured,
+    /// and with [`DiagnoseError::MissingLookingGlass`] when it
+    /// [reads a Looking Glass](Algorithm::reads_looking_glass) but no
+    /// [`looking_glass`](NetDiagnoserBuilder::looking_glass) was.
     pub fn diagnose(
         &self,
         obs: &Observations,
         ip2as: &dyn IpToAs,
     ) -> Result<Diagnosis, DiagnoseError> {
-        let recorder = &self.recorder;
         let algorithm = self.config.algorithm;
-        let weights = self.config.weights;
-        let empty_feed = RoutingFeed::default();
-        let feed: &RoutingFeed = match (&self.feed, self.config.allow_missing_inputs) {
-            (Some(feed), _) => feed,
-            (None, true) => &empty_feed,
-            (None, false) => match algorithm {
-                Algorithm::Tomo | Algorithm::NdEdge => &empty_feed,
-                Algorithm::NdBgpIgp | Algorithm::NdLg => {
-                    return Err(DiagnoseError::MissingFeed { algorithm })
-                }
-            },
-        };
-        match algorithm {
-            Algorithm::Tomo => Ok(tomo_recorded(obs, ip2as, recorder)),
-            Algorithm::NdEdge => Ok(nd_edge_recorded(obs, ip2as, weights, recorder)),
-            Algorithm::NdBgpIgp => Ok(nd_bgpigp_recorded(obs, ip2as, feed, weights, recorder)),
-            Algorithm::NdLg => {
-                let lg: &dyn LookingGlass = match (&self.lg, self.config.allow_missing_inputs) {
-                    (Some(lg), _) => lg.as_ref(),
-                    (None, true) => &NoLg,
-                    (None, false) => return Err(DiagnoseError::MissingLookingGlass),
-                };
-                Ok(nd_lg_recorded(obs, ip2as, feed, lg, weights, recorder))
-            }
+        if algorithm.reads_feed() && self.feed.is_none() {
+            return Err(DiagnoseError::MissingFeed { algorithm });
         }
+        if algorithm.reads_looking_glass() && self.lg.is_none() {
+            return Err(DiagnoseError::MissingLookingGlass);
+        }
+        Ok(run(
+            algorithm,
+            obs,
+            ip2as,
+            self.feed.as_deref(),
+            self.lg.as_deref().map(|lg| lg as &dyn LookingGlass),
+            self.config.weights,
+            &self.recorder,
+        ))
     }
 
     /// Runs the configured diagnosis and structures the result as a
@@ -422,13 +320,14 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_runs_leniently_without_optional_inputs() {
+    fn every_variant_runs_on_empty_inputs() {
         let ip2as = ip2as();
         let o = obs();
         for algorithm in Algorithm::ALL {
             let d = NetDiagnoser::builder()
                 .algorithm(algorithm)
-                .allow_missing_inputs()
+                .routing_feed(RoutingFeed::default())
+                .looking_glass(LookingGlassFn(|_, _| None))
                 .build()
                 .diagnose(&o, &ip2as)
                 .unwrap();

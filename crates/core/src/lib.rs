@@ -21,9 +21,10 @@
 //!   hops to candidate ASes with Looking Glass queries and clustering
 //!   unidentified links that may be the same link.
 //!
-//! The [`NetDiagnoser`] builder facade wraps all four — pick the variant
-//! at runtime, attach the routing feed, Looking Glass and an optional
-//! [`RecorderHandle`] once, then call
+//! All four are one pipeline, [`run`]: the [`Algorithm`] variant picks
+//! the steps it takes. The [`NetDiagnoser`] builder facade wraps it —
+//! pick the variant at runtime, attach the routing feed, Looking Glass
+//! and an optional [`RecorderHandle`] once, then call
 //! [`diagnose`](NetDiagnoser::diagnose) per incident. Algorithms refuse to
 //! run without the inputs they depend on ([`DiagnoseError`]).
 //!
@@ -87,15 +88,12 @@ pub mod report;
 mod scfs;
 pub mod text;
 
-pub use algorithms::{
-    nd_bgpigp, nd_bgpigp_recorded, nd_edge, nd_edge_recorded, nd_lg, nd_lg_recorded, tomo,
-    tomo_recorded,
-};
+pub use algorithms::{nd_bgpigp, nd_edge, nd_lg, run, tomo, Algorithm};
 pub use bitset::EdgeBitSet;
 pub use config::DiagnosticsConfig;
 pub use detector::{Alarm, PersistenceFilter};
 pub use diagnosis::Diagnosis;
-pub use facade::{Algorithm, DiagnoseError, NetDiagnoser, NetDiagnoserBuilder};
+pub use facade::{DiagnoseError, NetDiagnoser, NetDiagnoserBuilder};
 pub use graph::{
     DiagGraph, EdgeData, EdgeId, Epoch, HopNode, LogicalPart, NodeData, NodeId, PathRef, PhysId,
 };

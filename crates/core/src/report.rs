@@ -6,7 +6,7 @@
 //! [`DiagnosticsConfig`]. It serializes to a stable, schema-versioned JSON
 //! document ([`DiagnosticReport::to_json`] / [`from_json`]) and its
 //! [`Display`](std::fmt::Display) renders the historical flat-text report
-//! byte-for-byte, so existing consumers of [`render`] see no change.
+//! byte-for-byte.
 //!
 //! [`from_json`]: DiagnosticReport::from_json
 
@@ -15,9 +15,9 @@ use std::fmt::Write as _;
 
 use netdiag_obs::json::{self, Json};
 
+use crate::algorithms::Algorithm;
 use crate::config::DiagnosticsConfig;
 use crate::diagnosis::Diagnosis;
-use crate::facade::Algorithm;
 use crate::graph::LogicalPart;
 
 /// Version tag written into every report, bumped on shape changes.
@@ -662,15 +662,6 @@ impl fmt::Display for DiagnosticReport {
     }
 }
 
-/// Renders a diagnosis as the operator-facing text report.
-///
-/// Compatibility wrapper: equivalent to building a default-config
-/// [`DiagnosticReport`] and formatting it — identical output to every
-/// previous release.
-pub fn render(diagnosis: &Diagnosis) -> String {
-    DiagnosticReport::from_diagnosis(diagnosis, &DiagnosticsConfig::default()).to_string()
-}
-
 /// The attribution phrase of an unidentified-link group.
 fn group_place(ases: &[String]) -> String {
     if ases.is_empty() {
@@ -800,7 +791,7 @@ mod tests {
     #[test]
     fn report_lists_suspects_and_ases() {
         let d = crate::algorithms::tomo(&obs(), &ip2as());
-        let text = render(&d);
+        let text = DiagnosticReport::from_diagnosis(&d, &DiagnosticsConfig::default()).to_string();
         assert!(text.contains("suspect links"));
         assert!(text.contains("suspect ASes"));
         assert!(text.contains("10.2.0.1"));
@@ -811,7 +802,7 @@ mod tests {
         let mut o = obs();
         o.after = o.before.clone(); // nothing failed
         let d = crate::algorithms::tomo(&o, &ip2as());
-        let text = render(&d);
+        let text = DiagnosticReport::from_diagnosis(&d, &DiagnosticsConfig::default()).to_string();
         assert!(text.contains("no suspect links"));
     }
 

@@ -12,8 +12,9 @@ use std::net::Ipv4Addr;
 
 use netdiag_topology::{AsId, Prefix, SensorId};
 use netdiagnoser::{
-    nd_bgpigp, nd_edge, nd_lg, tomo, Hop, HopNode, IpToAsFn, LogicalPart, LookingGlassFn,
-    Observations, ProbePath, RoutingFeed, SensorMeta, Snapshot, Weights, WithdrawalObs,
+    nd_bgpigp, nd_edge, nd_lg, run, tomo, Algorithm, Diagnosis, Hop, HopNode, IpToAsFn,
+    LogicalPart, LookingGlass, LookingGlassFn, NetDiagnoser, Observations, ProbePath,
+    RecorderHandle, RoutingFeed, SensorMeta, Snapshot, Weights, WithdrawalObs,
 };
 
 fn ip(a: u8, b: u8, c: u8) -> Ipv4Addr {
@@ -172,8 +173,7 @@ fn nd_edge_localizes_misconfiguration_via_logical_links() {
 /// Reroute scenario: s1->s3 has a backup through y2/b-side and reroutes
 /// after the y1-y3 link fails, while s1->s2 breaks (no backup).
 /// The reroute set {y1-y3} plus failure information lets ND-edge find both.
-#[test]
-fn nd_edge_uses_reroute_sets() {
+fn reroute_observations() -> Observations {
     // Before: s1->s3 via y1, y3. After: still reached but via y1, y2, y4.
     let before_s1_s3 = path_s1_s3(true, None);
     let after_s1_s3 = ProbePath {
@@ -205,7 +205,7 @@ fn nd_edge_uses_reroute_sets() {
         ],
         reached: false,
     };
-    let obs = Observations {
+    Observations {
         sensors: sensors(),
         before: Snapshot {
             paths: vec![path_s1_s2(true), before_s1_s3],
@@ -213,7 +213,12 @@ fn nd_edge_uses_reroute_sets() {
         after: Snapshot {
             paths: vec![after_s1_s2, after_s1_s3],
         },
-    };
+    }
+}
+
+#[test]
+fn nd_edge_uses_reroute_sets() {
+    let obs = reroute_observations();
     let d = nd_edge(&obs, &ip2as(), Weights::default());
     assert_eq!(d.problem.reroute_sets.len(), 1, "one rerouted pair");
     // The reroute set contains the y1->y3 and y3->c1 old links (and the
@@ -249,16 +254,15 @@ fn nd_edge_uses_reroute_sets() {
     );
 }
 
-#[test]
-fn nd_bgpigp_withdrawal_prunes_upstream_links() {
-    // §3.3 example transposed: paths s1->s2 and s1->s3 both fail; AS-X's
-    // border x1... here the withdrawal arrives at a router of AS-X from
-    // the AS-A neighbor a2 for prefix 10.2/16 (s2's prefix): everything on
-    // the failed path up to and including the a2 hop is exonerated.
-    //
-    // Use the reverse direction to match the paper exactly: path s2->s1
-    // fails; AS-X received a withdrawal from its neighbor a2 (10.1.2.1)
-    // for s1's prefix 10.1/16. (The path below is y-side toward s1.)
+/// §3.3 example transposed: paths s1->s2 and s1->s3 both fail; AS-X's
+/// border x1... here the withdrawal arrives at a router of AS-X from
+/// the AS-A neighbor a2 for prefix 10.2/16 (s2's prefix): everything on
+/// the failed path up to and including the a2 hop is exonerated.
+///
+/// Use the reverse direction to match the paper exactly: path s2->s1
+/// fails; AS-X received a withdrawal from its neighbor a2 (10.1.2.1)
+/// for s1's prefix 10.1/16. (The path below is y-side toward s1.)
+fn withdrawal_scenario() -> (Observations, RoutingFeed) {
     let path_s2_s1 = |reached: bool, cut: Option<usize>| {
         let mut hops = vec![
             addr_hop(2, 1, 1), // b1
@@ -297,6 +301,12 @@ fn nd_bgpigp_withdrawal_prunes_upstream_links() {
         }],
         igp_link_down: vec![],
     };
+    (obs, feed)
+}
+
+#[test]
+fn nd_bgpigp_withdrawal_prunes_upstream_links() {
+    let (obs, feed) = withdrawal_scenario();
     let without = nd_edge(&obs, &ip2as(), Weights::default());
     let with = nd_bgpigp(&obs, &ip2as(), &feed, Weights::default());
     assert!(
@@ -340,11 +350,10 @@ fn nd_bgpigp_withdrawal_prunes_upstream_links() {
         .any(|(_, to)| *to == HopNode::Ip(ip(1, 1, 1)) || *to == HopNode::Ip(ip(1, 0, 200))));
 }
 
-#[test]
-fn nd_bgpigp_igp_event_forces_exact_link() {
-    // A failure inside AS-X: the IGP link-down names the exact link; the
-    // hypothesis is that link alone (paper: "ND-bgpigp can always find the
-    // exact set of failed links" inside AS-X).
+/// A failure inside AS-X: the IGP link-down names the exact link; the
+/// hypothesis is that link alone (paper: "ND-bgpigp can always find the
+/// exact set of failed links" inside AS-X).
+fn igp_event_scenario() -> (Observations, RoutingFeed) {
     let obs = Observations {
         sensors: sensors(),
         before: Snapshot {
@@ -369,6 +378,12 @@ fn nd_bgpigp_igp_event_forces_exact_link() {
             addr_b: ip(4, 2, 1),  // x2 side (= x2's observed hop address)
         }],
     };
+    (obs, feed)
+}
+
+#[test]
+fn nd_bgpigp_igp_event_forces_exact_link() {
+    let (obs, feed) = igp_event_scenario();
     let d = nd_bgpigp(&obs, &ip2as(), &feed, Weights::default());
     // Forced: the x1->x2 edge (the direction probed). Nothing else needed.
     assert_eq!(d.len(), 1, "hypothesis: {:?}", d.hypothesis_endpoints());
@@ -377,11 +392,14 @@ fn nd_bgpigp_igp_event_forces_exact_link() {
     assert_eq!(to, HopNode::Ip(ip(4, 2, 1)));
 }
 
-#[test]
-fn nd_lg_maps_stars_to_blocked_as() {
-    // Figure 4: path si - x - u1 u2 u3 - y - sj where the u's are in
-    // blocked AS-B(5 here); the LG of the source AS returns A-...-B-...-C
-    // and the UHs get tag {B}.
+/// A Looking Glass backed by a plain function, so every scenario's has
+/// the same type.
+type FixedLg = LookingGlassFn<fn(AsId, Ipv4Addr) -> Option<Vec<AsId>>>;
+
+/// Figure 4: path si - x - u1 u2 u3 - y - sj where the u's are in
+/// blocked AS-B(5 here); the LG of the source AS returns A-...-B-...-C
+/// and the UHs get tag {B}.
+fn blocked_scenario() -> (Observations, FixedLg) {
     let blocked_path = |reached: bool, cut: Option<usize>| {
         let mut hops = vec![
             addr_hop(1, 1, 1), // x in AS-A(1)
@@ -411,13 +429,19 @@ fn nd_lg_maps_stars_to_blocked_as() {
             paths: vec![blocked_path(false, Some(3))],
         },
     };
-    let lg = LookingGlassFn(|from: AsId, _dst: Ipv4Addr| {
+    let lg: FixedLg = LookingGlassFn(|from: AsId, _dst: Ipv4Addr| {
         // Every AS sees the path A(1) - B(5) - C(3) from its own position.
         let full = [AsId(1), AsId(5), AsId(3)];
         full.iter()
             .position(|&a| a == from)
             .map(|i| full[i..].to_vec())
     });
+    (obs, lg)
+}
+
+#[test]
+fn nd_lg_maps_stars_to_blocked_as() {
+    let (obs, lg) = blocked_scenario();
     let d = nd_lg(
         &obs,
         &ip2as(),
@@ -434,10 +458,9 @@ fn nd_lg_maps_stars_to_blocked_as() {
     );
 }
 
-#[test]
-fn nd_lg_combined_tag_when_ambiguous() {
-    // LG AS path A-B-D-C with one star run between A and C: the UHs get
-    // the combined tag {B, D}.
+/// LG AS path A-B-D-C with one star run between A and C: the UHs get
+/// the combined tag {B, D}.
+fn ambiguous_scenario() -> (Observations, FixedLg) {
     let path = |reached: bool, cut: Option<usize>| {
         let mut hops = vec![
             addr_hop(1, 1, 1),
@@ -465,12 +488,18 @@ fn nd_lg_combined_tag_when_ambiguous() {
             paths: vec![path(false, Some(2))],
         },
     };
-    let lg = LookingGlassFn(|from: AsId, _| {
+    let lg: FixedLg = LookingGlassFn(|from: AsId, _| {
         let full = [AsId(1), AsId(5), AsId(6), AsId(3)]; // A-B-D-C
         full.iter()
             .position(|&a| a == from)
             .map(|i| full[i..].to_vec())
     });
+    (obs, lg)
+}
+
+#[test]
+fn nd_lg_combined_tag_when_ambiguous() {
+    let (obs, lg) = ambiguous_scenario();
     let d = nd_lg(
         &obs,
         &ip2as(),
@@ -485,11 +514,10 @@ fn nd_lg_combined_tag_when_ambiguous() {
     );
 }
 
-#[test]
-fn single_link_failure_tomo_perfect() {
-    // §5.1: single non-recoverable link failures are Tomo's easy case.
-    // s1->s2 and s1->s3 share the a2-x1 link; only s1->s2 dies beyond it.
-    let obs = Observations {
+/// §5.1: single non-recoverable link failures are Tomo's easy case.
+/// s1->s2 and s1->s3 share the a2-x1 link; only s1->s2 dies beyond it.
+fn single_link_observations() -> Observations {
+    Observations {
         sensors: sensors(),
         before: Snapshot {
             paths: vec![path_s1_s2(true), path_s1_s3(true, None)],
@@ -512,8 +540,12 @@ fn single_link_failure_tomo_perfect() {
                 path_s1_s3(true, None),
             ],
         },
-    };
-    let d = tomo(&obs, &ip2as());
+    }
+}
+
+#[test]
+fn single_link_failure_tomo_perfect() {
+    let d = tomo(&single_link_observations(), &ip2as());
     // Candidates: the suffix y1->y2->b1->s2 (prefix cleared by the working
     // s1->s3 path). All three tie at score 1 and are all returned; the
     // true failed link y1-y2 is among them (sensitivity 1).
@@ -524,14 +556,13 @@ fn single_link_failure_tomo_perfect() {
     assert!(d.greedy.unexplained_failures.is_empty());
 }
 
-#[test]
-fn section32_reroute_set_example_literal() {
-    // §3.2: "At time T-, p_ij consists of the set of links
-    // p^{T-} = {l1, l2, l3, l4}, and at time T+, p^{T+} = {l1, l2, l5, l6}.
-    // ... We call {l3, l4} a reroute set."
-    //
-    // Hops: s -> h1 -> h2 -> h3 -> h4 -> dst   (links l1..l4, host link)
-    // After: s -> h1 -> h2 -> h5 -> h6 -> dst  (l1, l2, l5, l6)
+/// §3.2: "At time T-, p_ij consists of the set of links
+/// p^{T-} = {l1, l2, l3, l4}, and at time T+, p^{T+} = {l1, l2, l5, l6}.
+/// ... We call {l3, l4} a reroute set."
+///
+/// Hops: s -> h1 -> h2 -> h3 -> h4 -> dst   (links l1..l4, host link)
+/// After: s -> h1 -> h2 -> h5 -> h6 -> dst  (l1, l2, l5, l6)
+fn section32_observations() -> Observations {
     let h = |x: u8| Hop::Addr(ip(9, x, 1));
     let dst_host = Hop::Addr(ip(2, 0, 200));
     let before = ProbePath {
@@ -546,14 +577,18 @@ fn section32_reroute_set_example_literal() {
         hops: vec![h(0), h(1), h(2), h(5), h(6), dst_host],
         reached: true,
     };
-    let obs = Observations {
+    Observations {
         sensors: sensors(),
         before: Snapshot {
             paths: vec![before],
         },
         after: Snapshot { paths: vec![after] },
-    };
-    let d = nd_edge(&obs, &ip2as(), Weights::default());
+    }
+}
+
+#[test]
+fn section32_reroute_set_example_literal() {
+    let d = nd_edge(&section32_observations(), &ip2as(), Weights::default());
     assert_eq!(d.problem.reroute_sets.len(), 1);
     let rs = &d.problem.reroute_sets[0];
     // The reroute set is exactly the two abandoned links: the edges into
@@ -568,4 +603,109 @@ fn section32_reroute_set_example_literal() {
     // And the greedy must hit it (a failed link hides among l3/l4).
     let hit = d.hypothesis.iter().any(|&e| rs.edges.contains(e));
     assert!(hit, "{:?}", d.hypothesis_endpoints());
+}
+
+/// Every scenario above with the inputs all four algorithms may read: the
+/// feed (empty where the scenario has none) and a Looking Glass (one that
+/// knows no path where the scenario has no blocked AS).
+fn scenarios() -> Vec<(&'static str, Observations, RoutingFeed, FixedLg)> {
+    let no_lg = || -> FixedLg { LookingGlassFn(|_, _| None) };
+    let none = RoutingFeed::default;
+    let (withdrawal, withdrawal_feed) = withdrawal_scenario();
+    let (igp_event, igp_feed) = igp_event_scenario();
+    let (blocked, blocked_lg) = blocked_scenario();
+    let (ambiguous, ambiguous_lg) = ambiguous_scenario();
+    vec![
+        ("misconfig", misconfig_observations(), none(), no_lg()),
+        ("reroute", reroute_observations(), none(), no_lg()),
+        ("withdrawal", withdrawal, withdrawal_feed, no_lg()),
+        ("igp-event", igp_event, igp_feed, no_lg()),
+        ("blocked", blocked, none(), blocked_lg),
+        ("ambiguous", ambiguous, none(), ambiguous_lg),
+        ("single-link", single_link_observations(), none(), no_lg()),
+        ("section32", section32_observations(), none(), no_lg()),
+    ]
+}
+
+/// The paper-named function of `algorithm`.
+fn paper_named(
+    algorithm: Algorithm,
+    obs: &Observations,
+    feed: &RoutingFeed,
+    lg: &dyn LookingGlass,
+) -> Diagnosis {
+    let (ip2as, weights) = (ip2as(), Weights::default());
+    match algorithm {
+        Algorithm::Tomo => tomo(obs, &ip2as),
+        Algorithm::NdEdge => nd_edge(obs, &ip2as, weights),
+        Algorithm::NdBgpIgp => nd_bgpigp(obs, &ip2as, feed, weights),
+        Algorithm::NdLg => nd_lg(obs, &ip2as, feed, lg, weights),
+        other => panic!("no paper-named function for {other}"),
+    }
+}
+
+/// The facade, the paper-named functions and the single pipeline are one
+/// diagnosis: on every scenario and for every algorithm they agree on the
+/// hypothesis (link- and AS-level) and the unexplained failures, and the
+/// facade emits the pipeline's trace byte for byte.
+#[test]
+fn facade_and_functions_run_one_pipeline() {
+    for (name, obs, feed, lg) in scenarios() {
+        for algorithm in Algorithm::ALL {
+            // Each leg runs in a fresh trial scope, so both traces start
+            // their logical clock at zero.
+            let (facade_rec, facade_trace) = RecorderHandle::tracing();
+            let facade = {
+                let _trial = netdiag_obs::trial_scope(0, 0);
+                NetDiagnoser::builder()
+                    .algorithm(algorithm)
+                    .routing_feed(feed.clone())
+                    .looking_glass(LookingGlassFn(lg.0))
+                    .recorder(facade_rec)
+                    .build()
+                    .diagnose(&obs, &ip2as())
+                    .unwrap()
+            };
+            let (run_rec, run_trace) = RecorderHandle::tracing();
+            let piped = {
+                let _trial = netdiag_obs::trial_scope(0, 0);
+                let weights = Weights::default();
+                run(
+                    algorithm,
+                    &obs,
+                    &ip2as(),
+                    Some(&feed),
+                    Some(&lg),
+                    weights,
+                    &run_rec,
+                )
+            };
+            let named = paper_named(algorithm, &obs, &feed, &lg);
+
+            for (entry, d) in [("run", &piped), ("paper-named", &named)] {
+                assert_eq!(
+                    facade.hypothesis, d.hypothesis,
+                    "{name}/{algorithm}: facade and {entry} hypotheses differ"
+                );
+                assert_eq!(
+                    facade.as_hypothesis(),
+                    d.as_hypothesis(),
+                    "{name}/{algorithm}: facade and {entry} AS hypotheses differ"
+                );
+                assert_eq!(
+                    facade.greedy.unexplained_failures, d.greedy.unexplained_failures,
+                    "{name}/{algorithm}: facade and {entry} unexplained failures differ"
+                );
+            }
+            assert!(
+                !run_trace.is_empty(),
+                "{name}/{algorithm}: run traced nothing"
+            );
+            assert_eq!(
+                facade_trace.to_jsonl(),
+                run_trace.to_jsonl(),
+                "{name}/{algorithm}: facade and run traces differ"
+            );
+        }
+    }
 }

@@ -108,11 +108,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: appends a row of display-formatted cells.
-    pub fn rowf(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<String>>());
-    }
-
     /// Renders as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();

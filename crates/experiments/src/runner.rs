@@ -15,9 +15,7 @@ use netdiag_netsim::{
 use netdiag_obs::{names, RecorderHandle};
 use netdiag_topology::builders::Internet;
 use netdiag_topology::{AsId, LinkId};
-use netdiagnoser::{
-    nd_bgpigp_recorded, nd_edge_recorded, nd_lg_recorded, tomo_recorded, DiagnosticsConfig,
-};
+use netdiagnoser::{run, Algorithm, DiagnosticsConfig};
 
 use crate::bridge::{observations, routing_feed, SimLookingGlass, TruthIpToAs};
 use crate::placement::{place_sensors, Placement};
@@ -419,11 +417,32 @@ fn score_trial(
         .filter(|l| truth.probed_links().contains(l))
         .collect();
 
+    // The troubleshooting system records Looking Glass AS paths alongside
+    // its periodic baseline mesh, so UH mapping of the pre-failure paths
+    // uses the pre-failure LG views (after the failure, sources toward
+    // dead destinations have no AS path to report at all).
+    let lg = SimLookingGlass {
+        sim: &ctx.sim,
+        available: &ctx.lg_available,
+    };
+    let weights = cfg.diagnostics.weights;
+    let diagnose = |algorithm| {
+        run(
+            algorithm,
+            &obs,
+            &ip2as,
+            Some(&feed),
+            Some(&lg),
+            weights,
+            recorder,
+        )
+    };
+
     let diagnose_phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Diagnose);
     let diagnose_span = recorder.span(names::TRIAL_DIAGNOSE);
-    let d_tomo = tomo_recorded(&obs, &ip2as, recorder);
-    let d_edge = nd_edge_recorded(&obs, &ip2as, cfg.diagnostics.weights, recorder);
-    let d_bgpigp = nd_bgpigp_recorded(&obs, &ip2as, &feed, cfg.diagnostics.weights, recorder);
+    let d_tomo = diagnose(Algorithm::Tomo);
+    let d_edge = diagnose(Algorithm::NdEdge);
+    let d_bgpigp = diagnose(Algorithm::NdBgpIgp);
 
     let router_detected = match failure {
         Failure::Router(r) => {
@@ -434,21 +453,11 @@ fn score_trial(
         _ => None,
     };
 
-    let nd_lg_eval = if ctx.blocked.is_empty() {
-        None
-    } else {
-        // The troubleshooting system records Looking Glass AS paths
-        // alongside its periodic baseline mesh, so UH mapping of the
-        // pre-failure paths uses the pre-failure LG views (after the
-        // failure, sources toward dead destinations have no AS path to
-        // report at all).
-        let lg = SimLookingGlass {
-            sim: &ctx.sim,
-            available: &ctx.lg_available,
-        };
-        let d = nd_lg_recorded(&obs, &ip2as, &feed, &lg, cfg.diagnostics.weights, recorder);
-        Some(evaluate(topology, &truth, &d, &failed_sites))
-    };
+    // ND-LG is scored only when some AS blocks traceroute.
+    let nd_lg_eval = (!ctx.blocked.is_empty()).then(|| {
+        let d = diagnose(Algorithm::NdLg);
+        evaluate(topology, &truth, &d, &failed_sites)
+    });
     drop(diagnose_span);
     drop(diagnose_phase);
 

@@ -86,7 +86,7 @@ impl LocalIndex {
     }
 }
 
-/// Result of an incremental SPF update ([`Igp::delta_fail_links_recorded`]).
+/// Result of an incremental SPF update ([`Igp::delta_fail_links`]).
 #[derive(Clone, Debug, Default)]
 pub struct SpfDelta {
     /// Routers whose distance vector changed. The BGP decision process
@@ -124,14 +124,10 @@ pub struct AsIgp {
 }
 
 impl AsIgp {
-    /// Runs SPF for `as_id` over the currently-up intra links.
-    pub fn compute(topology: &Topology, as_id: AsId, links: &LinkState) -> Self {
-        Self::compute_recorded(topology, as_id, links, &RecorderHandle::noop())
-    }
-
-    /// [`AsIgp::compute`] reporting `igp.spf_runs` / `igp.settled_nodes`
-    /// to `recorder`. Counters are batched locally and flushed once.
-    pub fn compute_recorded(
+    /// Runs SPF for `as_id` over the currently-up intra links, reporting
+    /// `igp.spf_runs` / `igp.settled_nodes` to `recorder`. Counters are
+    /// batched locally and flushed once.
+    pub fn compute(
         topology: &Topology,
         as_id: AsId,
         links: &LinkState,
@@ -420,7 +416,7 @@ impl Igp {
         let compute_chunk = |slice: &[AsNode]| -> Vec<Arc<AsIgp>> {
             slice
                 .iter()
-                .map(|a| Arc::new(AsIgp::compute_recorded(topology, a.id, links, recorder)))
+                .map(|a| Arc::new(AsIgp::compute(topology, a.id, links, recorder)))
                 .collect()
         };
         if threads == 1 {
@@ -452,38 +448,23 @@ impl Igp {
         Arc::strong_count(&self.per_as[as_id.index()]) > 1
     }
 
-    /// Forces every per-AS table to be uniquely owned (a full deep copy),
-    /// detaching this `Igp` from any sharing: the copy the CoW
-    /// representation avoids, which `Sim::deep_clone` forces for the
-    /// copy-on-write equivalence tests.
-    pub fn unshare_all(&mut self) {
-        for a in &mut self.per_as {
-            Arc::make_mut(a);
-        }
-    }
-
-    /// Recomputes a single AS after its intra-domain link state changed.
-    pub fn recompute_as(&mut self, topology: &Topology, as_id: AsId, links: &LinkState) {
-        self.recompute_as_recorded(topology, as_id, links, &RecorderHandle::noop());
-    }
-
-    /// [`Igp::recompute_as`] reporting SPF counters to `recorder`.
-    pub fn recompute_as_recorded(
+    /// Recomputes a single AS after its intra-domain link state changed,
+    /// reporting SPF counters to `recorder`.
+    pub fn recompute_as(
         &mut self,
         topology: &Topology,
         as_id: AsId,
         links: &LinkState,
         recorder: &RecorderHandle,
     ) {
-        self.per_as[as_id.index()] =
-            Arc::new(AsIgp::compute_recorded(topology, as_id, links, recorder));
+        self.per_as[as_id.index()] = Arc::new(AsIgp::compute(topology, as_id, links, recorder));
     }
 
     /// Incrementally updates one AS after the given links went down,
     /// recomputing only the cone of sources whose shortest-path DAG used
     /// a failed edge.
     ///
-    /// Produces the exact same tables as [`Igp::recompute_as_recorded`]
+    /// Produces the exact same tables as [`Igp::recompute_as`]
     /// (same distances, same deterministic tie-breaks, same ECMP sets) —
     /// unaffected sources keep all their old shortest paths, so skipping
     /// them is lossless. When *no* source is affected the shared per-AS
@@ -491,7 +472,7 @@ impl Igp {
     ///
     /// Only valid for link *failures* (distances can only grow); repairs
     /// must go through a full recompute.
-    pub fn delta_fail_links_recorded(
+    pub fn delta_fail_links(
         &mut self,
         topology: &Topology,
         as_id: AsId,
@@ -647,7 +628,7 @@ mod tests {
         let mut igp = Igp::compute(&t, &links);
         assert_eq!(igp.of(AsId(0)).dist(r0, r1), Some(1));
         links.set_down(LinkId(0));
-        igp.recompute_as(&t, AsId(0), &links);
+        igp.recompute_as(&t, AsId(0), &links, &RecorderHandle::noop());
         assert_eq!(igp.of(AsId(0)).dist(r0, r1), Some(4));
     }
 
@@ -658,7 +639,7 @@ mod tests {
             let mut links = LinkState::all_up(&t);
             let mut inc = Igp::compute(&t, &links);
             links.set_down(LinkId(lid));
-            let delta = inc.delta_fail_links_recorded(
+            let delta = inc.delta_fail_links(
                 &t,
                 AsId(0),
                 &links,
@@ -700,7 +681,7 @@ mod tests {
         let mut inc = Igp::compute(&t, &links);
         let shared = inc.clone();
         links.set_down(unused);
-        let delta = inc.delta_fail_links_recorded(
+        let delta = inc.delta_fail_links(
             &t,
             AsId(0),
             &links,
@@ -725,7 +706,7 @@ mod tests {
         let mut links = LinkState::all_up(&t);
         let mut inc = Igp::compute(&t, &links);
         links.set_down(l);
-        let delta = inc.delta_fail_links_recorded(
+        let delta = inc.delta_fail_links(
             &t,
             AsId(0),
             &links,

@@ -43,8 +43,7 @@ pub struct SimSnapshot {
 /// `Sim` is `Clone`, so a converged healthy network can be snapshotted once
 /// and each failure experiment applied to a fresh copy. Cloning is cheap
 /// (copy-on-write: shared state is only copied for the ASes and prefixes
-/// a mutation actually touches); [`Sim::deep_clone`] forces the full copy
-/// the seed implementation used to pay per clone.
+/// a mutation actually touches).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -167,20 +166,6 @@ impl Sim {
         self.messages = snap.messages;
     }
 
-    /// A clone with every shared table forced into unique ownership — the
-    /// full deep copy the pre-CoW implementation paid for every clone.
-    /// Counted under `sim.snapshot.deep_copies`; the copy-on-write
-    /// equivalence tests compare against it.
-    pub fn deep_clone(&self) -> Self {
-        let mut copy = self.clone();
-        copy.igp.unshare_all();
-        copy.bgp.unshare_all();
-        if self.recorder.enabled() {
-            self.recorder.add(names::SIM_SNAPSHOT_DEEP_COPIES, 1);
-        }
-        copy
-    }
-
     /// Originates the prefixes of the given ASes and converges
     /// ([`Bgp::converge`]).
     ///
@@ -301,13 +286,9 @@ impl Sim {
         let mut deltas: Vec<(AsId, SpfDelta)> = Vec::with_capacity(affected_ases.len());
         for &a in &affected_ases {
             let was_shared = self.igp.is_shared(a);
-            let delta = self.igp.delta_fail_links_recorded(
-                &self.topology,
-                a,
-                &self.links,
-                &downed,
-                &self.recorder,
-            );
+            let delta =
+                self.igp
+                    .delta_fail_links(&self.topology, a, &self.links, &downed, &self.recorder);
             if was_shared && delta.recomputed > 0 && self.recorder.enabled() {
                 self.recorder.add(names::SIM_SNAPSHOT_COW_BREAKS, 1);
             }
@@ -391,7 +372,7 @@ impl Sim {
         }
         for &a in &affected_ases {
             self.igp
-                .recompute_as_recorded(&self.topology, a, &self.links, &self.recorder);
+                .recompute_as(&self.topology, a, &self.links, &self.recorder);
         }
         let ctx = Ctx {
             topology: &self.topology,
@@ -430,7 +411,7 @@ impl Sim {
                 self.recorder.add(names::SIM_SNAPSHOT_COW_BREAKS, 1);
             }
             self.igp
-                .recompute_as_recorded(&self.topology, as_id, &self.links, &self.recorder);
+                .recompute_as(&self.topology, as_id, &self.links, &self.recorder);
         }
         let ctx = Ctx {
             topology: &self.topology,
@@ -459,20 +440,6 @@ impl Sim {
         };
         for &rule in rules {
             self.bgp.install_filter(ctx, rule);
-        }
-        self.messages += self.bgp.run(ctx).messages;
-    }
-
-    /// Removes export-filter misconfigurations (the operator's fix) and
-    /// reconverges.
-    pub fn fix_misconfiguration(&mut self, rules: &[ExportDeny]) {
-        let ctx = Ctx {
-            topology: &self.topology,
-            igp: &self.igp,
-            links: &self.links,
-        };
-        for rule in rules {
-            self.bgp.remove_filter(ctx, rule);
         }
         self.messages += self.bgp.run(ctx).messages;
     }

@@ -1,9 +1,9 @@
 //! Copy-on-write equivalence: a cloned `Sim` that shares per-AS IGP and
-//! per-router BGP state behind `Arc`s — and a scratch `Sim` rolled back via
+//! per-prefix BGP state behind `Arc`s — and a scratch `Sim` rolled back via
 //! `snapshot`/`restore` between failure rounds — must be observationally
-//! identical to a fully deep-cloned simulator. "Observationally" means the
-//! probe mesh, the IGP link-down events, and the observed BGP messages
-//! (including withdrawals) match bit for bit.
+//! identical to a freshly built simulator that shares nothing with it.
+//! "Observationally" means the probe mesh, the IGP link-down events, and
+//! the observed BGP messages (including withdrawals) match bit for bit.
 
 // Test code: unwrap on a broken fixture is the correct failure mode.
 #![allow(clippy::unwrap_used)]
@@ -42,9 +42,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// One CoW scratch sim reused across failure rounds (restore between
-    /// rounds) reports exactly what a fresh deep clone would.
+    /// rounds) reports exactly what a freshly built world would.
     #[test]
-    fn cow_restore_matches_deep_clone(
+    fn cow_restore_matches_fresh_world(
         seed in 0u64..200,
         picks in proptest::collection::vec((0usize..1000, 1usize..=2), 1..4),
     ) {
@@ -60,8 +60,8 @@ proptest! {
                 .map(|i| links[(pick + i * 7) % links.len()])
                 .collect();
 
-            let mut deep = sim.deep_clone();
-            deep.fail_links(&chosen);
+            let (mut fresh, _) = world(seed);
+            fresh.fail_links(&chosen);
 
             if !first {
                 cow.restore(&baseline);
@@ -69,23 +69,23 @@ proptest! {
             first = false;
             cow.fail_links(&chosen);
 
-            let mesh_deep = probe_mesh(&deep, &sensors, &none);
+            let mesh_fresh = probe_mesh(&fresh, &sensors, &none);
             let mesh_cow = probe_mesh(&cow, &sensors, &none);
-            prop_assert_eq!(&mesh_deep, &mesh_cow, "probe meshes diverged");
+            prop_assert_eq!(&mesh_fresh, &mesh_cow, "probe meshes diverged");
 
-            let ev_deep = deep.take_igp_events();
+            let ev_fresh = fresh.take_igp_events();
             let ev_cow = cow.take_igp_events();
-            prop_assert_eq!(ev_deep, ev_cow, "IGP events diverged");
+            prop_assert_eq!(ev_fresh, ev_cow, "IGP events diverged");
 
-            let obs_deep = deep.take_observed();
+            let obs_fresh = fresh.take_observed();
             let obs_cow = cow.take_observed();
             let wd = |k: ObservedKind| k == ObservedKind::Withdraw;
             prop_assert_eq!(
-                obs_deep.iter().filter(|m| wd(m.kind)).count(),
+                obs_fresh.iter().filter(|m| wd(m.kind)).count(),
                 obs_cow.iter().filter(|m| wd(m.kind)).count(),
                 "withdrawal counts diverged"
             );
-            prop_assert_eq!(obs_deep, obs_cow, "observed BGP messages diverged");
+            prop_assert_eq!(obs_fresh, obs_cow, "observed BGP messages diverged");
         }
     }
 
@@ -110,9 +110,9 @@ proptest! {
                 .map(|i| links[(pick + i * 7) % links.len()])
                 .collect();
 
-            let mut inc = sim.deep_clone();
+            let mut inc = sim.clone();
             inc.fail_links(&chosen);
-            let mut full = sim.deep_clone();
+            let (mut full, _) = world(seed);
             full.fail_links_full(&chosen);
 
             let mesh_inc = probe_mesh(&inc, &sensors, &none);

@@ -69,7 +69,7 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 /// Parses one complete JSON document; trailing non-whitespace, and nesting
-/// deeper than [`MAX_DEPTH`], are errors.
+/// deeper than `MAX_DEPTH`, are errors.
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),

@@ -331,7 +331,7 @@ impl LiveRecorder {
     }
 
     /// Records dropped because a table ran out of slots (0 in any
-    /// healthy configuration — the tables hold [`SLOTS`] names each).
+    /// healthy configuration — the tables hold `SLOTS` names each).
     pub fn overflowed(&self) -> u64 {
         self.overflow.load(Ordering::Relaxed)
     }
@@ -536,7 +536,7 @@ impl LiveRecorder {
     /// Pushes the current cumulative snapshot into the window ring.
     ///
     /// The daemon's telemetry ticker calls this on a fixed cadence
-    /// (1 Hz); with [`RING_CAPACITY`] entries that keeps about a minute
+    /// (1 Hz); with `RING_CAPACITY` entries that keeps about a minute
     /// of history for [`windowed`](Self::windowed) queries.
     pub fn roll(&self) {
         let snap = self.snapshot();

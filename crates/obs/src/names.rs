@@ -32,8 +32,6 @@ pub const BGP_REPLAY_PREFIXES_SCOPED: &str = "bgp.replay.prefixes_scoped";
 
 // --- sim: copy-on-write snapshots -------------------------------------------
 
-/// Counter: full deep copies of simulator state (`Sim::deep_clone`).
-pub const SIM_SNAPSHOT_DEEP_COPIES: &str = "sim.snapshot.deep_copies";
 /// Counter: copy-on-write breaks — shared per-AS IGP tables or per-router
 /// BGP state cloned because a mutation touched them.
 pub const SIM_SNAPSHOT_COW_BREAKS: &str = "sim.snapshot.cow_breaks";

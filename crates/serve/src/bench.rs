@@ -4,7 +4,7 @@
 //! failure scenario from its baseline, then drives it with N client
 //! threads each issuing M diagnose requests back-to-back. Every
 //! response is validated (protocol `ok`, parseable
-//! [`DiagnosticReport`](netdiagnoser::DiagnosticReport)); per-request
+//! [`DiagnosticReport`]); per-request
 //! wall latency lands both in a harness-side [`LiveRecorder`] (as
 //! `serve.client_latency`, nanoseconds) and in an exact sorted sample
 //! for the reported percentiles.
@@ -125,7 +125,7 @@ const COMPARE_ROUNDS: usize = 3;
 
 /// Runs the harness with telemetry on and off on one shared baseline —
 /// so the two legs differ only in the live plane — alternating the legs
-/// [`COMPARE_ROUNDS`] times and keeping each leg's best round (same
+/// `COMPARE_ROUNDS` times and keeping each leg's best round (same
 /// thermal/scheduler conditions for both, noise suppressed by best-of).
 /// Returns `(telemetry_on, telemetry_off)`; the throughput ratio between
 /// them is what the telemetry overhead gate in bench.sh checks.

@@ -28,7 +28,7 @@
 //! [`FlightRecorder`] tail-samples the full causal trace of every
 //! request that breaches the latency SLO.
 //!
-//! [`bench`] is the closed-loop load harness behind `netdiag-serve
+//! [`bench`](mod@bench) is the closed-loop load harness behind `netdiag-serve
 //! bench`; [`client`] the small blocking client the CLI and tests use.
 
 #![forbid(unsafe_code)]

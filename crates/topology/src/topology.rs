@@ -420,7 +420,7 @@ impl Topology {
 ///   on exactly this.
 /// * Router `k` of a `/16` AS gets loopback `10.i.(k+1).1`; in a `/24` AS
 ///   it gets host `k + 1` of the block (at most
-///   [`MAX_ROUTERS_PER_SMALL_AS`] routers, keeping `.200+` free for
+///   `MAX_ROUTERS_PER_SMALL_AS` routers, keeping `.200+` free for
 ///   simulator-assigned sensor hosts).
 /// * Link `j` gets the point-to-point block `172.16.0.0/12 + 4j`, with the
 ///   `a` side at offset 1 and the `b` side at offset 2.

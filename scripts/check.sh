@@ -24,6 +24,11 @@ fi
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# Broken, ambiguous or private intra-doc links fail the gate, so a
+# deleted item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: release build =="
 cargo build --release
 
