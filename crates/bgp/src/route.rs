@@ -190,11 +190,6 @@ impl Route {
             ebgp_learned: false,
         }
     }
-
-    /// True if `as_id` appears in the AS path (loop detection).
-    pub fn path_contains(&self, as_id: AsId) -> bool {
-        self.as_path.contains(&as_id)
-    }
 }
 
 #[cfg(test)]
@@ -254,6 +249,5 @@ mod tests {
         assert!(r.as_path.is_empty());
         assert_eq!(r.egress, RouterId(3));
         assert!(!r.ebgp_learned);
-        assert!(!r.path_contains(AsId(0)));
     }
 }

@@ -35,11 +35,6 @@ pub struct DiagnosticsConfig {
     /// Upper bound on reported issues, keeping the strongest by severity
     /// then confidence. `0` (the default) means unlimited.
     pub max_issues: usize,
-    /// Escalate the unexplained-failure warning to
-    /// [`Severity::Error`](crate::Severity::Error) once at least this
-    /// many failed paths stay unexplained. `0` (the default) never
-    /// escalates.
-    pub unexplained_escalation: usize,
 }
 
 impl Default for DiagnosticsConfig {
@@ -49,7 +44,6 @@ impl Default for DiagnosticsConfig {
             weights: Weights::default(),
             min_confidence: 0.0,
             max_issues: 0,
-            unexplained_escalation: 0,
         }
     }
 }
@@ -75,7 +69,6 @@ mod tests {
         assert_eq!(cfg.weights, Weights { a: 1, b: 1 });
         assert_eq!(cfg.min_confidence, 0.0);
         assert_eq!(cfg.max_issues, 0);
-        assert_eq!(cfg.unexplained_escalation, 0);
     }
 
     #[test]

@@ -276,11 +276,6 @@ impl DiagGraph {
         self.edges.len()
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The observed endpooints of an edge.
     pub fn endpoints(&self, e: EdgeId) -> (HopNode, HopNode) {
         let d = self.edge(e);
@@ -458,7 +453,7 @@ mod tests {
             false,
         );
         // Stars do not merge: 2 shared Ip nodes + 2 distinct Uh nodes.
-        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.nodes.len(), 4);
         assert_eq!(g.edge_count(), 4);
         let uh_edges: Vec<_> = g.edges().filter(|(id, _)| g.is_unidentified(*id)).collect();
         assert_eq!(uh_edges.len(), 4);

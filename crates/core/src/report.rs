@@ -14,6 +14,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use netdiag_obs::json::{self, Json};
+use netdiag_obs::push_json_string;
 
 use crate::algorithms::Algorithm;
 use crate::config::DiagnosticsConfig;
@@ -343,14 +344,8 @@ impl DiagnosticReport {
             });
         }
         if counters.unexplained_failures > 0 {
-            let escalate = config.unexplained_escalation > 0
-                && counters.unexplained_failures >= config.unexplained_escalation;
             issues.push(Issue {
-                severity: if escalate {
-                    Severity::Error
-                } else {
-                    Severity::Warning
-                },
+                severity: Severity::Warning,
                 category: IssueCategory::UnexplainedFailures,
                 confidence: 1.0,
                 message: format!(
@@ -690,25 +685,6 @@ fn push_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
-}
-
-/// Appends `s` as a JSON string literal (quotes + escapes).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn field_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {

@@ -21,10 +21,35 @@
 //! **IP-to-AS map** (`ip2as.txt`): one `ip2as <addr> <as>` per line.
 //!
 //! Lines starting with `#` are comments everywhere.
+//!
+//! # Scenario directories
+//!
+//! [`ScenarioDir`] reads and writes one scenario as a directory of these
+//! files:
+//!
+//! ```text
+//! DIR/
+//!   after.txt      T+ snapshot (required)
+//!   sensors.txt    sensor directory
+//!   before.txt     T- snapshot
+//!   feed.txt       AS-X's routing-feed delta
+//!   lg.txt         Looking Glass dump
+//!   ip2as.txt      IP-to-AS map
+//!   truth.txt      ground truth: `failed <addr-a> <addr-b>` per failed link
+//!   topology.dot   Graphviz rendering with the failure sites highlighted
+//! ```
+//!
+//! Only `after.txt` is required. A batch diagnosis
+//! ([`ScenarioDir::parse`]) also needs the sensors, the `T-` snapshot and
+//! the IP-to-AS map; a daemon fills whatever is absent from its own
+//! baseline. `truth.txt` and `topology.dot` are for people checking
+//! answers and are never diagnosed.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 use std::net::Ipv4Addr;
+use std::path::{Path, PathBuf};
 
 use netdiag_topology::{AsId, Prefix, SensorId};
 
@@ -367,6 +392,153 @@ pub fn parse_observations(
         before: parse_snapshot(before)?,
         after: parse_snapshot(after)?,
     })
+}
+
+/// One scenario as the texts of its directory's files (see the module
+/// docs for the layout). `None` is an absent file.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ScenarioDir {
+    /// `sensors.txt`.
+    pub sensors: Option<String>,
+    /// `before.txt`.
+    pub before: Option<String>,
+    /// `after.txt`, the one required file.
+    pub after: String,
+    /// `feed.txt`.
+    pub feed: Option<String>,
+    /// `lg.txt`.
+    pub lg: Option<String>,
+    /// `ip2as.txt`.
+    pub ip2as: Option<String>,
+    /// `truth.txt`.
+    pub truth: Option<String>,
+    /// `topology.dot`.
+    pub dot: Option<String>,
+}
+
+/// A scenario parsed for a batch diagnosis ([`ScenarioDir::parse`]).
+#[derive(Clone, Debug)]
+pub struct ScenarioInputs {
+    /// Sensors and the `T-` and `T+` snapshots.
+    pub obs: Observations,
+    /// AS-X's routing feed, when `feed.txt` is present.
+    pub feed: Option<RoutingFeed>,
+    /// Looking Glass answers, when `lg.txt` is present.
+    pub lg: Option<RecordedLookingGlass>,
+    /// The IP-to-AS map.
+    pub ip2as: RecordedIpToAs,
+}
+
+/// Why a scenario directory could not be read, written or parsed.
+#[derive(Debug)]
+pub enum ScenarioError {
+    /// A file could not be read.
+    Read(PathBuf, io::Error),
+    /// A file (or the directory) could not be written.
+    Write(PathBuf, io::Error),
+    /// A file the operation needs is absent.
+    Missing(&'static str),
+    /// A file is malformed.
+    Parse(&'static str, ParseError),
+}
+
+impl std::fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScenarioError::Read(path, e) => write!(f, "cannot read {}: {e}", path.display()),
+            ScenarioError::Write(path, e) => write!(f, "cannot write {}: {e}", path.display()),
+            ScenarioError::Missing(file) => write!(f, "missing {file}"),
+            ScenarioError::Parse(file, e) => write!(f, "{file}: parse error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
+const SENSORS: &str = "sensors.txt";
+const BEFORE: &str = "before.txt";
+const AFTER: &str = "after.txt";
+const FEED: &str = "feed.txt";
+const LG: &str = "lg.txt";
+const IP2AS: &str = "ip2as.txt";
+const TRUTH: &str = "truth.txt";
+const DOT: &str = "topology.dot";
+
+impl ScenarioDir {
+    /// Reads a scenario directory. `after.txt` must exist; any other
+    /// absent file reads as `None`.
+    pub fn read(dir: &Path) -> Result<ScenarioDir, ScenarioError> {
+        let read = |name: &'static str| match std::fs::read_to_string(dir.join(name)) {
+            Ok(text) => Ok(Some(text)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound && name != AFTER => Ok(None),
+            Err(e) => Err(ScenarioError::Read(dir.join(name), e)),
+        };
+        Ok(ScenarioDir {
+            after: read(AFTER)?.unwrap_or_default(),
+            sensors: read(SENSORS)?,
+            before: read(BEFORE)?,
+            feed: read(FEED)?,
+            lg: read(LG)?,
+            ip2as: read(IP2AS)?,
+            truth: read(TRUTH)?,
+            dot: read(DOT)?,
+        })
+    }
+
+    /// Creates `dir` if needed and writes every present file into it.
+    pub fn write(&self, dir: &Path) -> Result<(), ScenarioError> {
+        std::fs::create_dir_all(dir).map_err(|e| ScenarioError::Write(dir.to_path_buf(), e))?;
+        let files = [
+            (SENSORS, self.sensors.as_deref()),
+            (BEFORE, self.before.as_deref()),
+            (AFTER, Some(self.after.as_str())),
+            (FEED, self.feed.as_deref()),
+            (LG, self.lg.as_deref()),
+            (IP2AS, self.ip2as.as_deref()),
+            (TRUTH, self.truth.as_deref()),
+            (DOT, self.dot.as_deref()),
+        ];
+        for (name, text) in files {
+            if let Some(text) = text {
+                let path = dir.join(name);
+                std::fs::write(&path, text).map_err(|e| ScenarioError::Write(path, e))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses the files a batch diagnosis runs on. `sensors.txt`,
+    /// `before.txt` and `ip2as.txt` are required here; the feed and the
+    /// Looking Glass dump stay optional.
+    pub fn parse(&self) -> Result<ScenarioInputs, ScenarioError> {
+        fn required<'a>(
+            name: &'static str,
+            text: &'a Option<String>,
+        ) -> Result<&'a str, ScenarioError> {
+            text.as_deref().ok_or(ScenarioError::Missing(name))
+        }
+        fn parse_as<T>(
+            name: &'static str,
+            text: &str,
+            parse: fn(&str) -> Result<T, ParseError>,
+        ) -> Result<T, ScenarioError> {
+            parse(text).map_err(|e| ScenarioError::Parse(name, e))
+        }
+        Ok(ScenarioInputs {
+            obs: Observations {
+                sensors: parse_as(SENSORS, required(SENSORS, &self.sensors)?, parse_sensors)?,
+                before: parse_as(BEFORE, required(BEFORE, &self.before)?, parse_snapshot)?,
+                after: parse_as(AFTER, &self.after, parse_snapshot)?,
+            },
+            feed: (self.feed.as_deref())
+                .map(|t| parse_as(FEED, t, parse_feed))
+                .transpose()?,
+            lg: (self.lg.as_deref())
+                .map(|t| parse_as(LG, t, RecordedLookingGlass::parse))
+                .transpose()?,
+            ip2as: parse_as(IP2AS, required(IP2AS, &self.ip2as)?, RecordedIpToAs::parse)?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -5,18 +5,22 @@
 //!                  [--blocked FRAC] [--lg FRAC] [--topology FILE]
 //!     SPEC: links:<x> | router | misconfig | misconfig+link
 //!     Generates the 165-AS topology — or loads one from FILE in the
-//!     plain-text format (`netdiag_topology::text`) — injects a failure,
-//!     and writes the
-//!     troubleshooter's view to DIR: sensors.txt, before.txt, after.txt,
-//!     feed.txt, lg.txt, ip2as.txt — plus truth.txt (ground truth, for
-//!     checking answers).
+//!     plain-text format (`netdiag_topology::text`) — prepares one
+//!     placement and draws a failure that breaks reachability, as the
+//!     trial runner does (`runner::prepare_seeded`, `runner::draw`; it
+//!     gives up after `runner::MAX_ATTEMPTS` draws). Writes the
+//!     troubleshooter's view to DIR as a `netdiagnoser::text::ScenarioDir`
+//!     (sensors, snapshots, feed, Looking Glass dump, IP-to-AS map), plus
+//!     the ground truth and a Graphviz rendering for checking answers.
 //!
 //! netdiag diagnose --dir DIR [--algo tomo|nd-edge|nd-bgpigp|nd-lg]
 //!                  [--json] [--min-confidence F] [--max-issues N]
-//!     Reads a scenario directory and prints the diagnosis report —
-//!     the flat text by default, or the versioned `DiagnosticReport`
-//!     JSON with `--json`. The threshold flags feed the report's
-//!     `DiagnosticsConfig` (drop weak findings, cap the issue list).
+//!     Reads a scenario directory (`ScenarioDir`; the feed and Looking
+//!     Glass files may be absent) and prints the diagnosis report — the
+//!     flat text by default, followed by the ground truth when DIR has
+//!     one, or the versioned `DiagnosticReport` JSON alone with `--json`.
+//!     The threshold flags feed the report's `DiagnosticsConfig` (drop
+//!     weak findings, cap the issue list).
 //!
 //! netdiag explain TRACE.jsonl [--placement P] [--trial N] [--algo A]
 //!     Replays a `--trace` event log into a per-hypothesis causal
@@ -48,24 +52,20 @@
 
 // A runnable demo talks to its user on stdout.
 #![allow(clippy::print_stdout)]
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
-use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use netdiag_experiments::bridge::{observations, routing_feed};
 use netdiag_experiments::explain::ExplainFilter;
-use netdiag_experiments::runner::{prepare_with, RunConfig, MAX_ATTEMPTS};
-use netdiag_experiments::sampling::{sample_failure, FailureSpec};
-use netdiag_netsim::{apply_failure, looking_glass_query, probe_mesh};
+use netdiag_experiments::runner::{draw, prepare_seeded, RunConfig, TrialScratch};
+use netdiag_experiments::sampling::FailureSpec;
+use netdiag_netsim::looking_glass_query;
 use netdiag_obs::{LiveRecorder, Recorder, RecorderHandle, TraceRecorder};
-use netdiagnoser::text::{parse_feed, parse_observations, RecordedIpToAs, RecordedLookingGlass};
+use netdiagnoser::text::{
+    write_feed, write_observations, RecordedIpToAs, RecordedLookingGlass, ScenarioDir,
+};
 use netdiagnoser::{Algorithm, DiagnosticsConfig, NetDiagnoser};
 
 fn usage() -> ! {
@@ -173,6 +173,23 @@ fn get_flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The value of a numeric flag, `default` when it is absent; a value
+/// that does not parse is a usage error.
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    get_flag(args, name).map_or(default, |v| v.parse().unwrap_or_else(|_| usage()))
+}
+
+/// The trial settings `trials` and `simulate` share: `--failure`,
+/// `--blocked` and `--lg`.
+fn run_config(args: &[String]) -> RunConfig {
+    RunConfig {
+        failure: parse_failure_spec(get_flag(args, "--failure").as_deref()),
+        blocked_frac: num_flag(args, "--blocked", 0.0),
+        lg_frac: num_flag(args, "--lg", 1.0),
+        ..Default::default()
+    }
+}
+
 /// Parses a `--failure` value (`links:<x>`, `router`, `misconfig`,
 /// `misconfig+link`); `None` means the default single link failure.
 fn parse_failure_spec(value: Option<&str>) -> FailureSpec {
@@ -191,28 +208,16 @@ fn parse_failure_spec(value: Option<&str>) -> FailureSpec {
 /// `netdiag trials`: the placement x failure experiment loop on the
 /// worker pool, summarised as per-algorithm accuracy means.
 fn trials(args: Vec<String>) -> ExitCode {
-    let parse_or_usage = |flag: &str, default: usize| -> usize {
-        get_flag(&args, flag).map_or(default, |v| v.parse().unwrap_or_else(|_| usage()))
-    };
-    let seed: u64 = get_flag(&args, "--seed").map_or(1, |v| v.parse().unwrap_or_else(|_| usage()));
-    let blocked: f64 =
-        get_flag(&args, "--blocked").map_or(0.0, |v| v.parse().unwrap_or_else(|_| usage()));
-    let lg_frac: f64 =
-        get_flag(&args, "--lg").map_or(1.0, |v| v.parse().unwrap_or_else(|_| usage()));
+    let seed = num_flag(&args, "--seed", 1);
     let fc = netdiag_experiments::figures::FigureConfig {
-        placements: parse_or_usage("--placements", 10),
-        failures_per_placement: parse_or_usage("--failures", 100),
+        placements: num_flag(&args, "--placements", 10),
+        failures_per_placement: num_flag(&args, "--failures", 100),
         base_seed: seed,
         topology_seed: seed,
-        threads: parse_or_usage("--threads", 0),
+        threads: num_flag(&args, "--threads", 0),
         ..Default::default()
     };
-    let cfg = RunConfig {
-        failure: parse_failure_spec(get_flag(&args, "--failure").as_deref()),
-        blocked_frac: blocked,
-        lg_frac,
-        ..Default::default()
-    };
+    let cfg = run_config(&args);
     let net = fc.internet();
     let t0 = std::time::Instant::now();
     let trials = netdiag_experiments::figures::collect_trials(&net, &cfg, &fc);
@@ -255,14 +260,9 @@ fn trials(args: Vec<String>) -> ExitCode {
 
 fn simulate(args: Vec<String>) -> ExitCode {
     let out = PathBuf::from(get_flag(&args, "--out").unwrap_or_else(|| usage()));
-    let seed: u64 = get_flag(&args, "--seed").map_or(1, |v| v.parse().unwrap_or_else(|_| usage()));
-    let sensors_n: usize =
-        get_flag(&args, "--sensors").map_or(10, |v| v.parse().unwrap_or_else(|_| usage()));
-    let blocked: f64 =
-        get_flag(&args, "--blocked").map_or(0.0, |v| v.parse().unwrap_or_else(|_| usage()));
-    let lg_frac: f64 =
-        get_flag(&args, "--lg").map_or(1.0, |v| v.parse().unwrap_or_else(|_| usage()));
-    let failure_spec = parse_failure_spec(get_flag(&args, "--failure").as_deref());
+    let seed = num_flag(&args, "--seed", 1);
+    let sensors_n: usize = num_flag(&args, "--sensors", 10);
+    let cfg = run_config(&args);
 
     let net = match get_flag(&args, "--topology") {
         None => netdiag_topology::builders::build_internet(
@@ -297,60 +297,21 @@ fn simulate(args: Vec<String>) -> ExitCode {
             net
         }
     };
-    let sensors_n = sensors_n.min(net.stubs.len());
     let cfg = RunConfig {
-        n_sensors: sensors_n,
-        failure: failure_spec,
-        blocked_frac: blocked,
-        lg_frac,
-        ..Default::default()
+        n_sensors: sensors_n.min(net.stubs.len()),
+        ..cfg
     };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
     let (recorder, sinks) = run_recorder(&args);
-    let ctx = {
-        let _trial = netdiag_obs::trial_scope(0, netdiag_obs::SETUP_TRIAL);
-        prepare_with(&net, &cfg, &mut rng, recorder)
-    };
+    let ctx = prepare_seeded(&net, &cfg, seed, recorder);
     let topology = ctx.sim.topology();
-
-    // Draw failures until one causes unreachability, at most as often as
-    // the trial loop does.
     let _trial = netdiag_obs::trial_scope(0, 0);
-    let mut frng = StdRng::seed_from_u64(seed ^ 0xF00D);
-    let mut drawn = None;
-    for _ in 0..MAX_ATTEMPTS {
-        let Some(failure) = sample_failure(
-            &ctx.sim,
-            &ctx.mesh_before,
-            &ctx.sensors,
-            cfg.failure,
-            &mut frng,
-        ) else {
-            eprintln!("no failure of that class is sampleable here");
+    let drawn = match draw(&ctx, &mut TrialScratch::new(&ctx), cfg.failure, seed) {
+        Ok(drawn) => drawn,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
-        };
-        let mut broken = ctx.sim.clone();
-        {
-            let _phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Inject);
-            apply_failure(&mut broken, &failure);
         }
-        let after = {
-            let _phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Measure);
-            probe_mesh(&broken, &ctx.sensors, &ctx.blocked)
-        };
-        if after.failed_count() > 0 {
-            drawn = Some((failure, broken, after));
-            break;
-        }
-    }
-    let Some((failure, mut broken, after)) = drawn else {
-        eprintln!("no failure of that class broke reachability in {MAX_ATTEMPTS} draws");
-        return ExitCode::FAILURE;
     };
-    let observed = broken.take_observed();
-    let igp_events = broken.take_igp_events();
-    let obs = observations(&ctx.sensors, &ctx.mesh_before, &after);
-    let feed = routing_feed(topology, ctx.observer, &observed, &igp_events);
 
     // Record pre-failure Looking Glass answers for every (available AS,
     // destination) pair.
@@ -364,58 +325,47 @@ fn simulate(args: Vec<String>) -> ExitCode {
     }
 
     // IP-to-AS mapping restricted to observed addresses.
-    let mut ip2as_text = String::from("# ip2as <addr> <as>\n");
-    let mut seen: BTreeSet<Ipv4Addr> = BTreeSet::new();
-    for snap in [&obs.before, &obs.after] {
-        for p in &snap.paths {
-            for h in &p.hops {
-                if let netdiagnoser::Hop::Addr(a) = h {
-                    if seen.insert(*a) {
-                        if let Some(asn) = topology.as_of_ip(*a) {
-                            let _ = writeln!(ip2as_text, "ip2as {a} {}", asn.0);
-                        }
-                    }
-                }
+    let mut ip2as = RecordedIpToAs::new();
+    let obs = drawn.observations(&ctx);
+    let paths = obs.before.paths.iter().chain(&obs.after.paths);
+    for hop in paths.flat_map(|p| &p.hops) {
+        if let netdiagnoser::Hop::Addr(a) = *hop {
+            if let Some(asn) = topology.as_of_ip(a) {
+                ip2as.record(a, asn);
             }
         }
     }
 
-    // Ground truth for checking answers.
+    // Ground truth for checking answers, and a Graphviz rendering with
+    // the failure sites highlighted.
+    let sites = drawn.failure.all_failure_sites(&ctx.sim);
     let mut truth = String::from("# failed links as interface address pairs\n");
-    for l in failure.all_failure_sites(&ctx.sim) {
+    for &l in &sites {
         let link = topology.link(l);
         let _ = writeln!(truth, "failed {} {}", link.addr_a, link.addr_b);
     }
-
-    // A Graphviz rendering with the failure sites highlighted.
     let dot = netdiag_topology::export::to_dot(
         topology,
         &netdiag_topology::export::DotOptions {
-            highlight: failure.all_failure_sites(&ctx.sim).into_iter().collect(),
+            highlight: sites.into_iter().collect(),
             hide_stubs: true,
         },
     );
 
-    if let Err(e) = fs::create_dir_all(&out) {
-        eprintln!("cannot create {}: {e}", out.display());
+    let (sensors, before, after) = write_observations(&obs);
+    let scenario = ScenarioDir {
+        sensors: Some(sensors),
+        before: Some(before),
+        after,
+        feed: Some(write_feed(&drawn.feed)),
+        lg: Some(lg.write()),
+        ip2as: Some(ip2as.write()),
+        truth: Some(truth),
+        dot: Some(dot),
+    };
+    if let Err(e) = scenario.write(&out) {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
-    }
-    let (sensors_txt, before_txt, after_txt) = netdiagnoser::text::write_observations(&obs);
-    let files = [
-        ("sensors.txt", sensors_txt),
-        ("before.txt", before_txt),
-        ("after.txt", after_txt),
-        ("feed.txt", netdiagnoser::text::write_feed(&feed)),
-        ("lg.txt", lg.write()),
-        ("ip2as.txt", ip2as_text),
-        ("truth.txt", truth),
-        ("topology.dot", dot),
-    ];
-    for (name, contents) in files {
-        if let Err(e) = fs::write(out.join(name), contents) {
-            eprintln!("cannot write {name}: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     if let Err(code) = write_outputs(sinks) {
         return code;
@@ -423,59 +373,24 @@ fn simulate(args: Vec<String>) -> ExitCode {
     println!(
         "scenario written to {} ({} failed paths, {} observed messages)",
         out.display(),
-        after.failed_count(),
-        observed.len()
+        drawn.failed_paths,
+        drawn.observed_messages
     );
     ExitCode::SUCCESS
-}
-
-fn read(dir: &Path, name: &str) -> Result<String, ExitCode> {
-    fs::read_to_string(dir.join(name)).map_err(|e| {
-        eprintln!("cannot read {}: {e}", dir.join(name).display());
-        ExitCode::FAILURE
-    })
 }
 
 fn diagnose(args: Vec<String>) -> ExitCode {
     let dir = PathBuf::from(get_flag(&args, "--dir").unwrap_or_else(|| usage()));
     let algo = get_flag(&args, "--algo").unwrap_or_else(|| "nd-edge".into());
 
-    let (sensors, before, after, feed_txt, lg_txt, ip2as_txt) = match (
-        read(&dir, "sensors.txt"),
-        read(&dir, "before.txt"),
-        read(&dir, "after.txt"),
-        read(&dir, "feed.txt"),
-        read(&dir, "lg.txt"),
-        read(&dir, "ip2as.txt"),
-    ) {
-        (Ok(a), Ok(b), Ok(c), Ok(d), Ok(e), Ok(f)) => (a, b, c, d, e, f),
-        _ => return ExitCode::FAILURE,
-    };
-    let obs = match parse_observations(&sensors, &before, &after) {
-        Ok(o) => o,
+    let read = ScenarioDir::read(&dir).and_then(|scenario| {
+        let inputs = scenario.parse()?;
+        Ok((scenario.truth, inputs))
+    });
+    let (truth, inputs) = match read {
+        Ok(read) => read,
         Err(e) => {
-            eprintln!("parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let feed = match parse_feed(&feed_txt) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("feed parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let lg = match RecordedLookingGlass::parse(&lg_txt) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("lg parse error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ip2as = match RecordedIpToAs::parse(&ip2as_txt) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("ip2as parse error: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -485,26 +400,20 @@ fn diagnose(args: Vec<String>) -> ExitCode {
     };
     let as_json = args.iter().any(|a| a == "--json");
     let mut config = DiagnosticsConfig::for_algorithm(algorithm);
-    if let Some(f) = get_flag(&args, "--min-confidence") {
-        let Ok(min) = f.parse::<f64>() else { usage() };
-        config.min_confidence = min;
-    }
-    if let Some(n) = get_flag(&args, "--max-issues") {
-        let Ok(max) = n.parse::<usize>() else { usage() };
-        config.max_issues = max;
-    }
+    config.min_confidence = num_flag(&args, "--min-confidence", config.min_confidence);
+    config.max_issues = num_flag(&args, "--max-issues", config.max_issues);
     let (recorder, sinks) = run_recorder(&args);
     let report = {
         let _trial = netdiag_obs::trial_scope(0, 0);
         let _phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Diagnose);
-        match NetDiagnoser::builder()
-            .config(config)
-            .routing_feed(feed)
-            .looking_glass(lg)
-            .recorder(recorder)
-            .build()
-            .report(&obs, &ip2as)
-        {
+        let mut builder = NetDiagnoser::builder().config(config).recorder(recorder);
+        if let Some(feed) = inputs.feed {
+            builder = builder.routing_feed(feed);
+        }
+        if let Some(lg) = inputs.lg {
+            builder = builder.looking_glass(lg);
+        }
+        match builder.build().report(&inputs.obs, &inputs.ip2as) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("diagnosis failed: {e}");
@@ -523,12 +432,12 @@ fn diagnose(args: Vec<String>) -> ExitCode {
         out.push('\n');
     } else {
         out.push_str(&report.to_string());
-    }
-    if let Ok(truth) = read(&dir, "truth.txt") {
-        out.push_str("--- ground truth (truth.txt) ---\n");
-        for line in truth.lines().filter(|l| l.starts_with("failed")) {
-            out.push_str(line);
-            out.push('\n');
+        if let Some(truth) = truth {
+            out.push_str("--- ground truth (truth.txt) ---\n");
+            for line in truth.lines().filter(|l| l.starts_with("failed")) {
+                out.push_str(line);
+                out.push('\n');
+            }
         }
     }
     use std::io::Write as _;
@@ -551,19 +460,12 @@ fn gen_cmd(args: Vec<String>) -> ExitCode {
         .unwrap_or_else(|| usage())
         .parse()
         .unwrap_or_else(|_| usage());
-    let seed: u64 = get_flag(&args, "--seed").map_or(1, |v| v.parse().unwrap_or_else(|_| usage()));
-    let parse_f64 = |flag: &str, default: f64| -> f64 {
-        get_flag(&args, flag).map_or(default, |v| v.parse().unwrap_or_else(|_| usage()))
-    };
-    let mut cfg = netdiag_topology::gen::GenConfig::new(n_ases, seed);
-    if let Some(t1) = get_flag(&args, "--tier1") {
-        cfg.n_tier1 = t1.parse().unwrap_or_else(|_| usage());
-    }
-    cfg.transit_frac = parse_f64("--transit-frac", cfg.transit_frac);
-    cfg.multihoming = parse_f64("--multihoming", cfg.multihoming);
-    cfg.peering_density = parse_f64("--peering", cfg.peering_density);
-    let threads: usize =
-        get_flag(&args, "--threads").map_or(1, |v| v.parse().unwrap_or_else(|_| usage()));
+    let mut cfg = netdiag_topology::gen::GenConfig::new(n_ases, num_flag(&args, "--seed", 1));
+    cfg.n_tier1 = num_flag(&args, "--tier1", cfg.n_tier1);
+    cfg.transit_frac = num_flag(&args, "--transit-frac", cfg.transit_frac);
+    cfg.multihoming = num_flag(&args, "--multihoming", cfg.multihoming);
+    cfg.peering_density = num_flag(&args, "--peering", cfg.peering_density);
+    let threads: usize = num_flag(&args, "--threads", 1);
     let converge = args.iter().any(|a| a == "--converge");
     let as_json = args.iter().any(|a| a == "--json");
 

@@ -12,10 +12,10 @@ use netdiagnoser::{BuildOptions, DiagnosticsConfig, Problem, Weights};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::bridge::{observations, TruthIpToAs};
+use crate::bridge::TruthIpToAs;
 use crate::figures::{collect_trials, FigureConfig, FigureOutput};
 use crate::output::{f4, Table};
-use crate::runner::{prepare_with, run_trial, RunConfig};
+use crate::runner::{draw_with, prepare_with, RunConfig, TrialScratch};
 use crate::sampling::FailureSpec;
 
 /// The weight pairs swept.
@@ -79,16 +79,14 @@ fn greedy_vs_exact(fc: &FigureConfig) -> FigureOutput {
         for p in 0..fc.placements.min(3) {
             let mut prng = StdRng::seed_from_u64(fc.base_seed ^ (p as u64 + 77));
             let ctx = prepare_with(&net, &cfg, &mut prng, fc.recorder.clone());
+            let mut scratch = TrialScratch::new(&ctx);
             for _ in 0..fc.failures_per_placement.min(10) {
-                // Reuse run_trial's sampling discipline but rebuild the
-                // problem so the exact solver can run on it.
-                let Some(tr) = run_trial(&ctx, &cfg, &mut rng) else {
+                // The trial loop's draw, without its diagnoses: the exact
+                // solver runs on the rebuilt problem instead.
+                let Ok(drawn) = draw_with(&ctx, &mut scratch, cfg.failure, &mut rng) else {
                     continue;
                 };
-                let mut broken = ctx.sim.clone();
-                netdiag_netsim::apply_failure(&mut broken, &tr.failure);
-                let after = netdiag_netsim::probe_mesh(&broken, &ctx.sensors, &ctx.blocked);
-                let obs = observations(&ctx.sensors, &ctx.mesh_before, &after);
+                let obs = drawn.observations(&ctx);
                 let topology = ctx.sim.topology();
                 let ip2as = TruthIpToAs { topology };
                 let problem = Problem::build(&obs, &ip2as, BuildOptions::nd_edge());

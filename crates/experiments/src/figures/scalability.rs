@@ -11,11 +11,11 @@ use rand::SeedableRng;
 
 use netdiagnoser::{nd_edge, tomo, BuildOptions, Problem, Weights};
 
-use crate::bridge::{observations, TruthIpToAs};
+use crate::bridge::TruthIpToAs;
 use crate::figures::{FigureConfig, FigureOutput};
 use crate::output::{f4, Table};
-use crate::runner::{prepare_with, RunConfig};
-use crate::sampling::{sample_failure, FailureSpec};
+use crate::runner::{draw_with, prepare_with, RunConfig, TrialScratch};
+use crate::sampling::FailureSpec;
 
 /// Sensor counts swept.
 pub const SENSOR_COUNTS: [usize; 5] = [5, 10, 20, 40, 80];
@@ -41,26 +41,11 @@ pub fn run(fc: &FigureConfig) -> Vec<FigureOutput> {
         let ctx = prepare_with(&net, &cfg, &mut rng, fc.recorder.clone());
         // One representative unreachability-causing failure.
         let mut frng = StdRng::seed_from_u64(fc.base_seed ^ n as u64);
-        let Some((obs, _)) = (0..50).find_map(|_| {
-            let failure = sample_failure(
-                &ctx.sim,
-                &ctx.mesh_before,
-                &ctx.sensors,
-                cfg.failure,
-                &mut frng,
-            )?;
-            let mut broken = ctx.sim.clone();
-            netdiag_netsim::apply_failure(&mut broken, &failure);
-            let after = netdiag_netsim::probe_mesh(&broken, &ctx.sensors, &ctx.blocked);
-            (after.failed_count() > 0).then(|| {
-                (
-                    observations(&ctx.sensors, &ctx.mesh_before, &after),
-                    failure,
-                )
-            })
-        }) else {
+        let Ok(drawn) = draw_with(&ctx, &mut TrialScratch::new(&ctx), cfg.failure, &mut frng)
+        else {
             continue;
         };
+        let obs = drawn.observations(&ctx);
         let topology = ctx.sim.topology();
         let ip2as = TruthIpToAs { topology };
 

@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 use netdiag_netsim::{
     apply_failure, apply_failure_full, probe_mesh, Failure, ProbeMesh, SensorSet, Sim, SimSnapshot,
@@ -15,7 +16,7 @@ use netdiag_netsim::{
 use netdiag_obs::{names, RecorderHandle};
 use netdiag_topology::builders::Internet;
 use netdiag_topology::{AsId, LinkId};
-use netdiagnoser::{run, Algorithm, DiagnosticsConfig};
+use netdiagnoser::{run, Algorithm, DiagnosticsConfig, Observations, RoutingFeed};
 
 use crate::bridge::{observations, routing_feed, SimLookingGlass, TruthIpToAs};
 use crate::placement::{place_sensors, Placement};
@@ -238,6 +239,35 @@ impl TrialScratch {
             dirty: false,
         }
     }
+
+    /// One sampling attempt: rolls the scratch back to the healthy
+    /// baseline if an earlier attempt broke it, injects `failure` on the
+    /// incremental path and re-probes the mesh.
+    fn attempt(
+        &mut self,
+        ctx: &PlacementContext,
+        failure: &Failure,
+        attempt: usize,
+        recorder: &RecorderHandle,
+    ) -> ProbeMesh {
+        recorder.event(names::EV_TRIAL_ATTEMPT, || {
+            netdiag_obs::EventPayload::new()
+                .field("attempt", attempt)
+                .field("kind", failure_kind(failure))
+        });
+        if self.dirty {
+            self.sim.restore(&self.baseline);
+        }
+        self.dirty = true;
+        {
+            let _phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Inject);
+            let _inject = recorder.span(names::TRIAL_INJECT);
+            apply_failure(&mut self.sim, failure);
+        }
+        let _phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Measure);
+        let _measure = recorder.span(names::TRIAL_MEASURE);
+        probe_mesh(&self.sim, &ctx.sensors, &ctx.blocked)
+    }
 }
 
 /// Memo key of a failure, for the per-placement replay memo. Only classes
@@ -302,25 +332,7 @@ pub fn run_trial_with(
                 }
             }
         }
-        recorder.event(names::EV_TRIAL_ATTEMPT, || {
-            netdiag_obs::EventPayload::new()
-                .field("attempt", attempt)
-                .field("kind", failure_kind(&failure))
-        });
-        if scratch.dirty {
-            scratch.sim.restore(&scratch.baseline);
-        }
-        scratch.dirty = true;
-        {
-            let _phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Inject);
-            let _inject = recorder.span(names::TRIAL_INJECT);
-            apply_failure(&mut scratch.sim, &failure);
-        }
-        let mesh_after = {
-            let _phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Measure);
-            let _measure = recorder.span(names::TRIAL_MEASURE);
-            probe_mesh(&scratch.sim, &ctx.sensors, &ctx.blocked)
-        };
+        let mesh_after = scratch.attempt(ctx, &failure, attempt, &recorder);
         if mesh_after.failed_count() == 0 {
             if let Some(k) = key {
                 ctx.replay
@@ -340,6 +352,117 @@ pub fn run_trial_with(
         return Some(result);
     }
     None
+}
+
+/// [`prepare_with`] for the single placement named by `seed`, the one
+/// `netdiag simulate` writes out and the daemon baseline serves. Failures
+/// are then drawn from it with [`draw`].
+pub fn prepare_seeded(
+    net: &Internet,
+    cfg: &RunConfig,
+    seed: u64,
+    recorder: RecorderHandle,
+) -> PlacementContext {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
+    let _trial = netdiag_obs::trial_scope(0, netdiag_obs::SETUP_TRIAL);
+    prepare_with(net, cfg, &mut rng, recorder)
+}
+
+/// One unreachability-causing failure drawn by [`draw`], with the
+/// troubleshooter's view of it.
+#[derive(Clone, Debug)]
+pub struct Drawn {
+    /// The injected failure.
+    pub failure: Failure,
+    /// Number of sensor pairs that lost reachability.
+    pub failed_paths: usize,
+    /// BGP messages AS-X observed while the network reconverged.
+    pub observed_messages: usize,
+    /// The `T+` probe mesh.
+    pub mesh_after: ProbeMesh,
+    /// AS-X's routing-feed delta.
+    pub feed: RoutingFeed,
+}
+
+impl Drawn {
+    /// The troubleshooter's observations: the placement's sensors and
+    /// `T-` snapshot, and this draw's `T+` snapshot.
+    pub fn observations(&self, ctx: &PlacementContext) -> Observations {
+        observations(&ctx.sensors, &ctx.mesh_before, &self.mesh_after)
+    }
+}
+
+/// Why [`draw`] found no scenario.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DrawError {
+    /// No failure of the class can be built on this placement.
+    NotSampleable,
+    /// Every one of [`MAX_ATTEMPTS`] draws was fully rerouted.
+    NeverBroke,
+}
+
+impl std::fmt::Display for DrawError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DrawError::NotSampleable => f.write_str("no failure of that class is sampleable here"),
+            DrawError::NeverBroke => write!(
+                f,
+                "no failure of that class broke reachability in {MAX_ATTEMPTS} draws"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DrawError {}
+
+/// Draws failures of class `spec` until one breaks reachability, with
+/// the RNG seeded from `seed ^ 0xF00D`. Each draw takes the trial loop's
+/// sampling and attempt steps on the caller's `scratch` (built from
+/// `ctx`), which is left holding the broken network. There is no
+/// diagnosis, scoring or replay memo: the caller gets the
+/// troubleshooter's inputs.
+pub fn draw(
+    ctx: &PlacementContext,
+    scratch: &mut TrialScratch,
+    spec: FailureSpec,
+    seed: u64,
+) -> Result<Drawn, DrawError> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
+    draw_with(ctx, scratch, spec, &mut rng)
+}
+
+/// [`draw`] with the caller's RNG.
+pub fn draw_with(
+    ctx: &PlacementContext,
+    scratch: &mut TrialScratch,
+    spec: FailureSpec,
+    rng: &mut StdRng,
+) -> Result<Drawn, DrawError> {
+    let recorder = ctx.sim.recorder().clone();
+    for attempt in 0..MAX_ATTEMPTS {
+        let failure = sample_failure_from(
+            &ctx.sim,
+            &ctx.probed_links,
+            &ctx.mesh_before,
+            &ctx.sensors,
+            spec,
+            rng,
+        )
+        .ok_or(DrawError::NotSampleable)?;
+        let mesh_after = scratch.attempt(ctx, &failure, attempt, &recorder);
+        if mesh_after.failed_count() == 0 {
+            continue; // fully rerouted: no unreachability, redraw
+        }
+        let (feed, observed_messages) = drain_feed(ctx, &mut scratch.sim);
+        return Ok(Drawn {
+            failure,
+            failed_paths: mesh_after.failed_count(),
+            observed_messages,
+            mesh_after,
+            feed,
+        });
+    }
+    Err(DrawError::NeverBroke)
 }
 
 /// The pre-incremental trial loop, frozen as the behavioral baseline: a
@@ -404,10 +527,8 @@ fn score_trial(
     recorder: &RecorderHandle,
 ) -> TrialResult {
     let topology = ctx.sim.topology();
-    let observed = broken.take_observed();
-    let igp_events = broken.take_igp_events();
     let obs = observations(&ctx.sensors, &ctx.mesh_before, &mesh_after);
-    let feed = routing_feed(topology, ctx.observer, &observed, &igp_events);
+    let (feed, _) = drain_feed(ctx, broken);
     let truth = TruthMap::build(topology, &ctx.mesh_before, &mesh_after);
     let ip2as = TruthIpToAs { topology };
 
@@ -471,6 +592,16 @@ fn score_trial(
         failure,
         failed_sites,
     }
+}
+
+/// AS-X's routing-feed delta after a failure, built by draining the
+/// broken simulator's observation buffers, and how many BGP messages AS-X
+/// observed.
+fn drain_feed(ctx: &PlacementContext, broken: &mut Sim) -> (RoutingFeed, usize) {
+    let observed = broken.take_observed();
+    let igp_events = broken.take_igp_events();
+    let feed = routing_feed(ctx.sim.topology(), ctx.observer, &observed, &igp_events);
+    (feed, observed.len())
 }
 
 /// Short event label for a failure class.

@@ -112,6 +112,57 @@ fn netdiag_simulate_diagnose_roundtrip() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `--json` prints one `DiagnosticReport` document and nothing after it
+/// (the ground-truth appendix is text-mode only), and a scenario without
+/// the optional `truth.txt` diagnoses silently.
+#[test]
+fn netdiag_diagnose_json_is_one_document_and_truth_is_optional() {
+    let dir = temp_dir("json");
+    let out = netdiag()
+        .args(["simulate", "--out", dir.to_str().unwrap(), "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let diagnose = |json: bool| {
+        let mut args = vec![
+            "diagnose",
+            "--dir",
+            dir.to_str().unwrap(),
+            "--algo",
+            "nd-bgpigp",
+        ];
+        if json {
+            args.push("--json");
+        }
+        netdiag().args(&args).output().unwrap()
+    };
+    let out = diagnose(true);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let report = netdiagnoser::DiagnosticReport::from_json(stdout.trim_end())
+        .unwrap_or_else(|e| panic!("--json output does not parse ({e}):\n{stdout}"));
+    assert_eq!(report.algorithm, netdiagnoser::Algorithm::NdBgpIgp);
+    let text = String::from_utf8(diagnose(false).stdout).unwrap();
+    assert!(text.contains("--- ground truth (truth.txt) ---"), "{text}");
+
+    fs::remove_file(dir.join("truth.txt")).unwrap();
+    for json in [false, true] {
+        let out = diagnose(json);
+        assert_eq!(out.status.code(), Some(0), "json={json}");
+        assert!(
+            out.stderr.is_empty(),
+            "json={json}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("ground truth"));
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn netdiag_custom_topology() {
     let dir = temp_dir("custom");

@@ -674,7 +674,7 @@ impl RunReport {
 }
 
 /// Appends `s` as a JSON string literal (quotes + escapes).
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -846,6 +846,11 @@ mod tests {
         let mut s = String::new();
         push_json_string(&mut s, "a\"b\\c\nd");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
+        // Control characters round-trip through the parser.
+        let mut s = String::new();
+        push_json_string(&mut s, "a\u{1}b\tc\nd\"e\\f");
+        let v = json::parse(&s).expect("escaped string parses");
+        assert_eq!(v.as_str(), Some("a\u{1}b\tc\nd\"e\\f"));
     }
 
     #[test]

@@ -4,21 +4,19 @@
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use netdiag_experiments::bridge::{routing_feed, sensor_metas, to_snapshot};
-use netdiag_experiments::runner::{prepare_with, PlacementContext, RunConfig};
-use netdiag_experiments::sampling::{sample_failure, FailureSpec};
-use netdiag_netsim::{apply_failure, looking_glass_query, probe_mesh, Sim};
+use netdiag_experiments::bridge::{sensor_metas, to_snapshot, TruthIpToAs};
+use netdiag_experiments::runner::{
+    draw, prepare_seeded, PlacementContext, RunConfig, TrialScratch,
+};
+use netdiag_experiments::sampling::FailureSpec;
+use netdiag_netsim::{looking_glass_query, Sim};
 use netdiag_obs::RecorderHandle;
 use netdiag_topology::builders::{build_internet, Internet, InternetConfig};
 use netdiag_topology::gen::GenConfig;
-use netdiag_topology::{AsId, Topology};
+use netdiag_topology::AsId;
 use netdiagnoser::text::{write_feed, write_snapshot};
-use netdiagnoser::{IpToAs, LookingGlass, SensorMeta, Snapshot};
+use netdiagnoser::{LookingGlass, SensorMeta, Snapshot};
 
 /// Daemon configuration: how the baseline is generated and how much
 /// concurrent work the request pool accepts.
@@ -98,13 +96,12 @@ impl ServeConfig {
 
 /// The converged state every request diagnoses against.
 ///
-/// Owns the healthy simulator (copy-on-write clones are a few µs), the
-/// topology, and the serialized defaults a request may omit: the sensor
-/// directory, the `T-` snapshot, and the oracles (IP-to-AS from the
-/// topology, Looking Glass answered live by the simulator).
+/// Owns the healthy simulator (copy-on-write clones are a few µs) and
+/// the serialized defaults a request may omit: the sensor directory, the
+/// `T-` snapshot, and the oracles (IP-to-AS from the topology, Looking
+/// Glass answered live by the simulator).
 pub struct Baseline {
     ctx: PlacementContext,
-    topology: Arc<Topology>,
     sensors: Vec<SensorMeta>,
     before: Snapshot,
 }
@@ -128,30 +125,14 @@ impl Baseline {
             n_sensors: config.n_sensors.min(net.stubs.len()),
             ..Default::default()
         };
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xBEEF);
-        let ctx = {
-            let _trial = netdiag_obs::trial_scope(0, netdiag_obs::SETUP_TRIAL);
-            prepare_with(&net, &run, &mut rng, config.recorder.clone())
-        };
-        let topology = ctx.sim.topology_arc();
+        let ctx = prepare_seeded(&net, &run, config.seed, config.recorder.clone());
         let sensors = sensor_metas(&ctx.sensors);
         let before = to_snapshot(&ctx.mesh_before);
         Baseline {
             ctx,
-            topology,
             sensors,
             before,
         }
-    }
-
-    /// The healthy converged simulator.
-    pub fn sim(&self) -> &Sim {
-        &self.ctx.sim
-    }
-
-    /// The shared topology.
-    pub fn topology(&self) -> &Arc<Topology> {
-        &self.topology
     }
 
     /// The troubleshooting AS (AS-X).
@@ -182,43 +163,28 @@ impl Baseline {
 
     /// The ground-truth IP-to-AS oracle — the default when a request
     /// uploads no `ip2as` map.
-    pub fn ip_to_as(&self) -> TopologyIpToAs {
-        TopologyIpToAs {
-            topology: Arc::clone(&self.topology),
+    pub fn ip_to_as(&self) -> TruthIpToAs<'_> {
+        TruthIpToAs {
+            topology: self.ctx.sim.topology(),
         }
     }
 
-    /// Samples one unreachability-causing link failure against this
-    /// baseline and renders the request inputs a client would upload:
-    /// the post-failure snapshot and AS-X's routing-feed delta. Used by
-    /// the load harness and tests; `None` if no sampled failure breaks
-    /// any path (practically impossible on the generated topology).
+    /// Draws one unreachability-causing link failure against this
+    /// baseline ([`draw`]) and renders the request inputs a client would
+    /// upload: the post-failure snapshot and AS-X's routing-feed delta.
+    /// Used by the load harness and tests; `None` if no draw breaks any
+    /// path (practically impossible on the generated topology).
     pub fn sample_scenario(&self, seed: u64) -> Option<Scenario> {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
-        // Bounded redraws: a sampled failure may be fully rerouted.
-        for _ in 0..64 {
-            let failure = sample_failure(
-                &self.ctx.sim,
-                &self.ctx.mesh_before,
-                &self.ctx.sensors,
-                FailureSpec::Links(1),
-                &mut rng,
-            )?;
-            let mut broken = self.ctx.sim.clone();
-            apply_failure(&mut broken, &failure);
-            let after = probe_mesh(&broken, &self.ctx.sensors, &self.ctx.blocked);
-            if after.failed_count() == 0 {
-                continue;
-            }
-            let observed = broken.take_observed();
-            let igp_events = broken.take_igp_events();
-            let feed = routing_feed(&self.topology, self.ctx.observer, &observed, &igp_events);
-            return Some(Scenario {
-                after: write_snapshot(&to_snapshot(&after)),
-                feed: write_feed(&feed),
-            });
-        }
-        None
+        // The scratch (a clone of the healthy network and its snapshot) is
+        // dropped after the texts are rendered. Freed before, its memory
+        // is what the rendered strings fill, and the daemon set-up's peak
+        // RSS then flips between two levels from run to run.
+        let mut scratch = TrialScratch::new(&self.ctx);
+        let drawn = draw(&self.ctx, &mut scratch, FailureSpec::Links(1), seed).ok()?;
+        Some(Scenario {
+            after: write_snapshot(&to_snapshot(&drawn.mesh_after)),
+            feed: write_feed(&drawn.feed),
+        })
     }
 }
 
@@ -248,20 +214,10 @@ impl LookingGlass for BaselineLookingGlass {
     }
 }
 
-/// IP-to-AS oracle over the shared topology (see [`Baseline::ip_to_as`]).
-pub struct TopologyIpToAs {
-    topology: Arc<Topology>,
-}
-
-impl IpToAs for TopologyIpToAs {
-    fn as_of(&self, addr: Ipv4Addr) -> Option<AsId> {
-        self.topology.as_of_ip(addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netdiagnoser::IpToAs;
 
     fn small_config() -> ServeConfig {
         ServeConfig {

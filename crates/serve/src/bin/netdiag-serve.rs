@@ -19,8 +19,9 @@
 //!
 //! netdiag-serve request (--connect ADDR | --unix PATH) --dir DIR
 //!                       [--algo NAME] [--json] [--explain]
-//!     Uploads a scenario directory (after.txt required; sensors.txt,
-//!     before.txt, feed.txt, lg.txt, ip2as.txt attached when present)
+//!     Uploads a scenario directory (`netdiagnoser::text::ScenarioDir`:
+//!     after.txt required; sensors.txt, before.txt, feed.txt, lg.txt,
+//!     ip2as.txt attached when present, the baseline's used otherwise)
 //!     and prints the returned report text — byte-identical to
 //!     `netdiag diagnose --dir DIR` on the same inputs — or the
 //!     versioned report JSON with `--json`.
@@ -60,6 +61,7 @@ use netdiag_obs::{names, RecorderHandle};
 use netdiag_serve::bench::{compare as bench_compare, run as run_bench, BenchConfig, BenchResults};
 use netdiag_serve::proto::{write_diagnose_request, DiagnoseJob};
 use netdiag_serve::{Client, Endpoint, ServeConfig, Server};
+use netdiagnoser::text::ScenarioDir;
 use netdiagnoser::{Algorithm, DiagnosticReport};
 
 fn usage() -> ! {
@@ -194,31 +196,26 @@ fn connect(args: &[String]) -> Client {
     }
 }
 
-/// Reads a scenario file, `None` when absent (the daemon's baseline
-/// fills it in).
-fn optional_file(dir: &Path, name: &str) -> Option<String> {
-    std::fs::read_to_string(dir.join(name)).ok()
-}
-
 fn cmd_request(args: &[String]) -> ExitCode {
     let Some(dir) = get_flag(args, "--dir").map(PathBuf::from) else {
         usage()
     };
-    let after = match std::fs::read_to_string(dir.join("after.txt")) {
-        Ok(text) => text,
+    // Absent files are filled in by the daemon's baseline.
+    let scenario = match ScenarioDir::read(&dir) {
+        Ok(scenario) => scenario,
         Err(e) => {
-            eprintln!("read {}: {e}", dir.join("after.txt").display());
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
     let job = DiagnoseJob {
         algo: algo_flag(args),
-        after,
-        sensors: optional_file(&dir, "sensors.txt"),
-        before: optional_file(&dir, "before.txt"),
-        feed: optional_file(&dir, "feed.txt"),
-        lg: optional_file(&dir, "lg.txt"),
-        ip2as: optional_file(&dir, "ip2as.txt"),
+        after: scenario.after,
+        sensors: scenario.sensors,
+        before: scenario.before,
+        feed: scenario.feed,
+        lg: scenario.lg,
+        ip2as: scenario.ip2as,
         min_confidence: num_flag(args, "--min-confidence", 0.0f64),
         max_issues: num_flag(args, "--max-issues", 0usize),
         explain: args.iter().any(|a| a == "--explain"),

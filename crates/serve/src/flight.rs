@@ -15,9 +15,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use netdiag_obs::TraceRecorder;
-
-use crate::proto::push_json_string;
+use netdiag_obs::{push_json_string, TraceRecorder};
 
 /// Per-phase wall-clock breakdown of one diagnose request, nanoseconds.
 #[derive(Clone, Copy, Debug, Default)]

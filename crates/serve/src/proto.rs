@@ -44,6 +44,7 @@
 //! response, and then the daemon closes the connection.
 
 use netdiag_obs::json::{parse, Json};
+use netdiag_obs::push_json_string;
 use netdiagnoser::Algorithm;
 
 /// The longest request line the daemon accepts, not counting its
@@ -240,25 +241,6 @@ pub fn ok_response(id: u64, extra: &str) -> String {
     }
 }
 
-/// Appends `s` as a JSON string literal (quoted, escaped).
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,13 +425,5 @@ mod tests {
             let v = netdiag_obs::json::parse(&line).expect("response line parses as JSON");
             assert!(v.get("id").is_some());
         }
-    }
-
-    #[test]
-    fn escaping_round_trips_control_characters() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\u{1}b\tc\nd\"e\\f");
-        let v = netdiag_obs::json::parse(&out).expect("escaped string parses");
-        assert_eq!(v.as_str(), Some("a\u{1}b\tc\nd\"e\\f"));
     }
 }

@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 
 use netdiag_experiments::explain::{explain, ExplainFilter};
 use netdiag_obs::{
-    names, LiveRecorder, Recorder, RecorderHandle, RunReport, TraceRecorder, WindowDelta,
+    names, push_json_string, LiveRecorder, Recorder, RecorderHandle, RunReport, TraceRecorder,
+    WindowDelta,
 };
 use netdiagnoser::text::{
     parse_feed, parse_sensors, parse_snapshot, RecordedIpToAs, RecordedLookingGlass,
@@ -41,8 +42,7 @@ use crate::baseline::{Baseline, ServeConfig};
 use crate::flight::{FlightRecorder, PhaseNanos};
 use crate::pool::WorkerPool;
 use crate::proto::{
-    self, diagnose_response, error_response, ok_response, push_json_string, DiagnoseJob, Request,
-    MAX_REQUEST_BYTES,
+    self, diagnose_response, error_response, ok_response, DiagnoseJob, Request, MAX_REQUEST_BYTES,
 };
 
 /// Events each worker's always-on flight ring retains (ample for one
@@ -638,7 +638,7 @@ fn handle_diagnose(
         }
         None => builder.looking_glass(baseline.looking_glass()),
     };
-    let ip2as: Box<dyn IpToAs> = match &job.ip2as {
+    let ip2as: Box<dyn IpToAs + '_> = match &job.ip2as {
         Some(text) => Box::new(RecordedIpToAs::parse(text).map_err(|e| format!("ip2as: {e}"))?),
         None => Box::new(baseline.ip_to_as()),
     };

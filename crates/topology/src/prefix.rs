@@ -37,11 +37,6 @@ impl Prefix {
         self.len
     }
 
-    /// True only for the zero-length (default-route) prefix.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     fn mask(len: u8) -> u32 {
         if len == 0 {
             0
@@ -215,7 +210,7 @@ mod tests {
     #[test]
     fn default_route_contains_everything() {
         let pre = p("0.0.0.0/0");
-        assert!(pre.is_default());
+        assert_eq!(pre.len(), 0);
         assert!(pre.contains(Ipv4Addr::new(255, 255, 255, 255)));
     }
 

@@ -116,7 +116,8 @@ done
 test -n "$addr"
 # Structured response: a current-schema DiagnosticReport comes back.
 serve request --connect "$addr" --dir "$tracedir/scn" --algo nd-bgpigp --json \
-    | grep -q '"schema":1'
+    > "$servedir/daemon.json"
+grep -q '"schema":1' "$servedir/daemon.json"
 # Parity: the daemon's text rendering is byte-identical to the batch CLI
 # on the same scenario files (ground-truth appendix stripped).
 serve request --connect "$addr" --dir "$tracedir/scn" --algo nd-bgpigp \
@@ -124,6 +125,9 @@ serve request --connect "$addr" --dir "$tracedir/scn" --algo nd-bgpigp \
 netdiag diagnose --dir "$tracedir/scn" --algo nd-bgpigp \
     | sed '/^--- ground truth/,$d' > "$servedir/batch.txt"
 diff -u "$servedir/batch.txt" "$servedir/daemon.txt"
+# The same parity for the JSON report, which carries no appendix.
+netdiag diagnose --dir "$tracedir/scn" --algo nd-bgpigp --json > "$servedir/batch.json"
+diff -u "$servedir/batch.json" "$servedir/daemon.json"
 # Hostile input: an over-long line, a line nested past the JSON depth
 # limit, a non-UTF-8 line and a truncated object, one connection each.
 # Each must be refused with an error line (or, for the over-long line, a
