@@ -129,7 +129,7 @@ pub fn run(
     });
     let mut problem = Problem::build_recorded(obs, ip2as, algorithm.build_options(), recorder);
     if let Some(lg) = lg.filter(|_| algorithm.reads_looking_glass()) {
-        tag_unidentified_hops(&mut problem, obs, ip2as, lg);
+        tag_unidentified_hops(&mut problem, obs, ip2as, lg, recorder);
     }
     if let Some(feed) = feed.filter(|_| algorithm.reads_feed()) {
         problem.apply_feed_recorded(obs, feed, recorder);
@@ -294,12 +294,13 @@ fn finish(diagnosis: Diagnosis, algorithm: &'static str, recorder: &RecorderHand
 }
 
 /// Maps every unidentified hop to a candidate-AS tag using Looking Glass
-/// AS paths (first step of ND-LG).
+/// AS paths (first step of ND-LG), with one trace event per tagged hop.
 fn tag_unidentified_hops(
     problem: &mut Problem,
     obs: &Observations,
     ip2as: &dyn IpToAs,
     lg: &dyn LookingGlass,
+    recorder: &RecorderHandle,
 ) {
     let epochs: [(Epoch, &[ProbePath]); 2] = [
         (Epoch::Before, &obs.before.paths),
@@ -314,7 +315,7 @@ fn tag_unidentified_hops(
                 continue;
             }
             let path_ref = PathRef { epoch, index };
-            tag_path(problem, obs, ip2as, lg, path, path_ref);
+            tag_path(problem, obs, ip2as, lg, path, path_ref, recorder);
         }
     }
 }
@@ -327,6 +328,7 @@ fn tag_path(
     lg: &dyn LookingGlass,
     path: &ProbePath,
     path_ref: PathRef,
+    recorder: &RecorderHandle,
 ) {
     let src_as = obs.sensor(path.src).as_id;
     let dst_addr = obs.sensor(path.dst).addr;
@@ -355,9 +357,12 @@ fn tag_path(
     }
     // Without any Looking Glass the unidentified hops cannot be mapped at
     // all — they could belong to any AS between the flanks.
-    if lg_path.is_none() {
+    let Some(lg_path) = lg_path else {
         return;
-    }
+    };
+    let as_list = |ases: &mut dyn Iterator<Item = &AsId>| -> netdiag_obs::Value {
+        netdiag_obs::Value::List(ases.map(|a| a.0.into()).collect())
+    };
 
     // Walk maximal star runs.
     let mut i = 0;
@@ -379,13 +384,26 @@ fn tag_path(
             .copied()
             .unwrap_or(src_as);
         let a_next = hop_as[end..].iter().flatten().next().copied();
-        let tag = derive_tag(lg_path.as_deref(), a_prev, a_next);
+        let tag = derive_tag(&lg_path, a_prev, a_next);
         if tag.is_empty() {
             continue;
         }
         for pos in start..end {
             if let Some(node) = problem.graph.node_id(&HopNode::Uh(path_ref, pos)) {
                 problem.graph.set_tag(node, tag.clone());
+                recorder.event(names::EV_DIAG_LG_TAG, || {
+                    let epoch = if path_ref.epoch == Epoch::Before {
+                        "before"
+                    } else {
+                        "after"
+                    };
+                    let (src, dst) = (path.src.index(), path.dst.index());
+                    netdiag_obs::EventPayload::new()
+                        .field("path", format!("{epoch} s{src}->s{dst}"))
+                        .field("hop", pos)
+                        .field("candidates", as_list(&mut tag.iter()))
+                        .field("lg_path", as_list(&mut lg_path.iter()))
+                });
             }
         }
     }
@@ -394,25 +412,18 @@ fn tag_path(
 /// Derives the candidate-AS tag of a star run flanked by known ASes,
 /// given the Looking Glass AS path (§3.4: a single AS between the flanks
 /// gives an exact tag; several give a combined tag like `{B, D}`).
-fn derive_tag(lg_path: Option<&[AsId]>, a_prev: AsId, a_next: Option<AsId>) -> BTreeSet<AsId> {
-    if let Some(lgp) = lg_path {
-        if let Some(pa) = lgp.iter().position(|&a| a == a_prev) {
-            match a_next {
-                Some(next) => {
-                    if let Some(rel) = lgp[pa + 1..].iter().position(|&a| a == next) {
-                        let segment = &lgp[pa + 1..pa + 1 + rel];
-                        if !segment.is_empty() {
-                            return segment.iter().copied().collect();
-                        }
-                    }
-                }
-                None => {
-                    let suffix = &lgp[pa + 1..];
-                    if !suffix.is_empty() {
-                        return suffix.iter().copied().collect();
-                    }
-                }
-            }
+fn derive_tag(lg_path: &[AsId], a_prev: AsId, a_next: Option<AsId>) -> BTreeSet<AsId> {
+    if let Some(pa) = lg_path.iter().position(|&a| a == a_prev) {
+        let after = &lg_path[pa + 1..];
+        let between = match a_next {
+            Some(next) => after
+                .iter()
+                .position(|&a| a == next)
+                .map(|rel| &after[..rel]),
+            None => Some(after),
+        };
+        if let Some(between) = between.filter(|b| !b.is_empty()) {
+            return between.iter().copied().collect();
         }
     }
     // Fallback: the flanking ASes themselves.

@@ -39,11 +39,14 @@
 //!   topology.dot   Graphviz rendering with the failure sites highlighted
 //! ```
 //!
-//! Only `after.txt` is required. A batch diagnosis
-//! ([`ScenarioDir::parse`]) also needs the sensors, the `T-` snapshot and
-//! the IP-to-AS map; a daemon fills whatever is absent from its own
-//! baseline. `truth.txt` and `topology.dot` are for people checking
-//! answers and are never diagnosed.
+//! Only `after.txt` is required. [`ScenarioDir::parse`] is the one parse
+//! of a scenario: it parses every file that is present and leaves each
+//! absent one `None`, and each caller decides what an absent file means.
+//! A batch diagnosis (`netdiag diagnose`) needs the sensors, the `T-`
+//! snapshot and the IP-to-AS map, and the feed or the Looking Glass dump
+//! when its algorithm reads them; a daemon fills whatever is absent from
+//! its own baseline. `truth.txt` and `topology.dot` are for people
+//! checking answers and are never diagnosed.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -381,19 +384,6 @@ pub fn write_observations(obs: &Observations) -> (String, String, String) {
     )
 }
 
-/// Parses complete observations from the three texts.
-pub fn parse_observations(
-    sensors: &str,
-    before: &str,
-    after: &str,
-) -> Result<Observations, ParseError> {
-    Ok(Observations {
-        sensors: parse_sensors(sensors)?,
-        before: parse_snapshot(before)?,
-        after: parse_snapshot(after)?,
-    })
-}
-
 /// One scenario as the texts of its directory's files (see the module
 /// docs for the layout). `None` is an absent file.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -416,17 +406,22 @@ pub struct ScenarioDir {
     pub dot: Option<String>,
 }
 
-/// A scenario parsed for a batch diagnosis ([`ScenarioDir::parse`]).
+/// A parsed scenario ([`ScenarioDir::parse`]). `None` is an absent file;
+/// what stands in for it is the caller's choice.
 #[derive(Clone, Debug)]
 pub struct ScenarioInputs {
-    /// Sensors and the `T-` and `T+` snapshots.
-    pub obs: Observations,
-    /// AS-X's routing feed, when `feed.txt` is present.
+    /// The sensor directory.
+    pub sensors: Option<Vec<SensorMeta>>,
+    /// The `T-` snapshot.
+    pub before: Option<Snapshot>,
+    /// The `T+` snapshot.
+    pub after: Snapshot,
+    /// AS-X's routing feed.
     pub feed: Option<RoutingFeed>,
-    /// Looking Glass answers, when `lg.txt` is present.
+    /// Looking Glass answers.
     pub lg: Option<RecordedLookingGlass>,
     /// The IP-to-AS map.
-    pub ip2as: RecordedIpToAs,
+    pub ip2as: Option<RecordedIpToAs>,
 }
 
 /// Why a scenario directory could not be read, written or parsed.
@@ -455,12 +450,17 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-const SENSORS: &str = "sensors.txt";
-const BEFORE: &str = "before.txt";
+/// The sensor directory's file name.
+pub const SENSORS: &str = "sensors.txt";
+/// The `T-` snapshot's file name.
+pub const BEFORE: &str = "before.txt";
 const AFTER: &str = "after.txt";
-const FEED: &str = "feed.txt";
-const LG: &str = "lg.txt";
-const IP2AS: &str = "ip2as.txt";
+/// The routing feed's file name.
+pub const FEED: &str = "feed.txt";
+/// The Looking Glass dump's file name.
+pub const LG: &str = "lg.txt";
+/// The IP-to-AS map's file name.
+pub const IP2AS: &str = "ip2as.txt";
 const TRUTH: &str = "truth.txt";
 const DOT: &str = "topology.dot";
 
@@ -507,36 +507,24 @@ impl ScenarioDir {
         Ok(())
     }
 
-    /// Parses the files a batch diagnosis runs on. `sensors.txt`,
-    /// `before.txt` and `ip2as.txt` are required here; the feed and the
-    /// Looking Glass dump stay optional.
+    /// Parses every present file; an absent one stays `None`. A
+    /// malformed file is an error naming it and the line.
     pub fn parse(&self) -> Result<ScenarioInputs, ScenarioError> {
-        fn required<'a>(
-            name: &'static str,
-            text: &'a Option<String>,
-        ) -> Result<&'a str, ScenarioError> {
-            text.as_deref().ok_or(ScenarioError::Missing(name))
-        }
         fn parse_as<T>(
             name: &'static str,
-            text: &str,
+            text: Option<&str>,
             parse: fn(&str) -> Result<T, ParseError>,
-        ) -> Result<T, ScenarioError> {
-            parse(text).map_err(|e| ScenarioError::Parse(name, e))
+        ) -> Result<Option<T>, ScenarioError> {
+            text.map(|t| parse(t).map_err(|e| ScenarioError::Parse(name, e)))
+                .transpose()
         }
         Ok(ScenarioInputs {
-            obs: Observations {
-                sensors: parse_as(SENSORS, required(SENSORS, &self.sensors)?, parse_sensors)?,
-                before: parse_as(BEFORE, required(BEFORE, &self.before)?, parse_snapshot)?,
-                after: parse_as(AFTER, &self.after, parse_snapshot)?,
-            },
-            feed: (self.feed.as_deref())
-                .map(|t| parse_as(FEED, t, parse_feed))
-                .transpose()?,
-            lg: (self.lg.as_deref())
-                .map(|t| parse_as(LG, t, RecordedLookingGlass::parse))
-                .transpose()?,
-            ip2as: parse_as(IP2AS, required(IP2AS, &self.ip2as)?, RecordedIpToAs::parse)?,
+            sensors: parse_as(SENSORS, self.sensors.as_deref(), parse_sensors)?,
+            before: parse_as(BEFORE, self.before.as_deref(), parse_snapshot)?,
+            after: parse_snapshot(&self.after).map_err(|e| ScenarioError::Parse(AFTER, e))?,
+            feed: parse_as(FEED, self.feed.as_deref(), parse_feed)?,
+            lg: parse_as(LG, self.lg.as_deref(), RecordedLookingGlass::parse)?,
+            ip2as: parse_as(IP2AS, self.ip2as.as_deref(), RecordedIpToAs::parse)?,
         })
     }
 }
@@ -583,10 +571,18 @@ mod tests {
     fn observations_roundtrip() {
         let obs = sample_obs();
         let (s, b, a) = write_observations(&obs);
-        let parsed = parse_observations(&s, &b, &a).unwrap();
-        assert_eq!(parsed.sensors, obs.sensors);
-        assert_eq!(parsed.before.paths.len(), 1);
-        assert_eq!(parsed.before.paths[0].hops, obs.before.paths[0].hops);
+        let parsed = ScenarioDir {
+            sensors: Some(s),
+            before: Some(b),
+            after: a,
+            ..ScenarioDir::default()
+        }
+        .parse()
+        .unwrap();
+        assert_eq!(parsed.sensors.unwrap(), obs.sensors);
+        let before = parsed.before.unwrap();
+        assert_eq!(before.paths.len(), 1);
+        assert_eq!(before.paths[0].hops, obs.before.paths[0].hops);
         assert!(!parsed.after.paths[0].reached);
     }
 

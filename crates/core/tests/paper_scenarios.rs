@@ -10,6 +10,8 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
+use netdiag_obs::json::{self, Json};
+use netdiag_obs::names;
 use netdiag_topology::{AsId, Prefix, SensorId};
 use netdiagnoser::{
     nd_bgpigp, nd_edge, nd_lg, run, tomo, Algorithm, Diagnosis, Hop, HopNode, IpToAsFn,
@@ -455,6 +457,85 @@ fn nd_lg_maps_stars_to_blocked_as() {
     assert!(
         ases.contains(&AsId(5)),
         "AS hypothesis {ases:?} must contain the blocked AS"
+    );
+}
+
+/// ND-LG's AS mapping is in its trace. On the blocked-AS scenario the
+/// Looking Glass turns the AS-level hypothesis {AS1, AS3} into
+/// {AS1, AS3, AS5}; the run with it emits one `diag.lg_tag` event per
+/// tagged hop, naming the candidate ASes and the answer they came from,
+/// and the run without it emits none.
+#[test]
+fn nd_lg_traces_its_as_mapping() {
+    let (obs, lg) = blocked_scenario();
+    let traced = |lg: Option<&dyn LookingGlass>| {
+        let (recorder, trace) = RecorderHandle::tracing();
+        let d = {
+            let _trial = netdiag_obs::trial_scope(0, 0);
+            let feed = RoutingFeed::default();
+            run(
+                Algorithm::NdLg,
+                &obs,
+                &ip2as(),
+                Some(&feed),
+                lg,
+                Weights::default(),
+                &recorder,
+            )
+        };
+        (d.as_hypothesis(), trace.to_jsonl())
+    };
+    let (with_ases, with_trace) = traced(Some(&lg));
+    let (without_ases, without_trace) = traced(None);
+    assert_eq!(with_ases, BTreeSet::from([AsId(1), AsId(3), AsId(5)]));
+    assert_eq!(without_ases, BTreeSet::from([AsId(1), AsId(3)]));
+    assert_ne!(with_trace, without_trace);
+
+    let tags = |trace: &str| -> Vec<(String, u64, Vec<u64>, Vec<u64>)> {
+        let list = |v: &Json, key: &str| -> Vec<u64> {
+            v.get(key)
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .map(|a| a.as_u64().unwrap())
+                .collect()
+        };
+        trace
+            .lines()
+            .map(|line| json::parse(line).unwrap())
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(names::EV_DIAG_LG_TAG))
+            .map(|e| {
+                let p = e.get("payload").unwrap();
+                (
+                    p.get("path").and_then(Json::as_str).unwrap().to_owned(),
+                    p.get("hop").and_then(Json::as_u64).unwrap(),
+                    list(p, "candidates"),
+                    list(p, "lg_path"),
+                )
+            })
+            .collect()
+    };
+    assert!(tags(&without_trace).is_empty(), "{without_trace}");
+    let tagged = tags(&with_trace);
+    // The T- path's three stars sit between AS1 and AS3: the answer
+    // A(1) - B(5) - C(3) tags each with exactly the blocked AS.
+    for hop in 1..=3 {
+        assert!(
+            tagged.contains(&("before s0->s2".into(), hop, vec![5], vec![1, 5, 3])),
+            "hop {hop} of the T- path: {tagged:?}"
+        );
+    }
+    // AS5 is in the hypothesis only with the Looking Glass, and the tag
+    // events are where it comes from.
+    let added: Vec<u64> = with_ases
+        .difference(&without_ases)
+        .map(|a| u64::from(a.0))
+        .collect();
+    assert!(
+        added.iter().all(|a| tagged
+            .iter()
+            .any(|(_, _, candidates, _)| candidates.contains(a))),
+        "{added:?} not explained by {tagged:?}"
     );
 }
 

@@ -1,6 +1,6 @@
 //! `text::ScenarioDir` on disk: a scenario survives write -> read ->
-//! parse, `after.txt` is the one file a read requires, and the errors
-//! name the file at fault.
+//! parse, `after.txt` is the one file a read or a parse requires, and the
+//! errors name the file at fault.
 
 // Test code: unwrap on a broken fixture is the correct failure mode.
 #![allow(clippy::unwrap_used)]
@@ -9,8 +9,8 @@ use std::path::PathBuf;
 
 use netdiag_topology::{AsId, Prefix, SensorId};
 use netdiagnoser::text::{
-    write_feed, write_observations, RecordedIpToAs, RecordedLookingGlass, ScenarioDir,
-    ScenarioError,
+    write_feed, write_observations, write_snapshot, RecordedIpToAs, RecordedLookingGlass,
+    ScenarioDir, ScenarioError,
 };
 use netdiagnoser::{
     Hop, IpToAs, Observations, ProbePath, RoutingFeed, SensorMeta, Snapshot, WithdrawalObs,
@@ -77,11 +77,16 @@ fn scenario_dir_write_read_parse_roundtrip() {
     let read = ScenarioDir::read(&dir.join("scn")).unwrap();
     assert_eq!(read, scenario);
     let inputs = read.parse().unwrap();
-    assert_eq!(write_observations(&inputs.obs), write_observations(&obs));
+    let parsed = Observations {
+        sensors: inputs.sensors.unwrap(),
+        before: inputs.before.unwrap(),
+        after: inputs.after,
+    };
+    assert_eq!(write_observations(&parsed), write_observations(&obs));
     assert_eq!(inputs.feed.map(|f| f.withdrawals), Some(feed.withdrawals));
     assert_eq!(inputs.lg.map(|l| l.write()), Some(lg.write()));
     assert_eq!(
-        inputs.ip2as.as_of(Ipv4Addr::new(10, 3, 0, 1)),
+        inputs.ip2as.unwrap().as_of(Ipv4Addr::new(10, 3, 0, 1)),
         Some(AsId(3))
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -110,9 +115,14 @@ fn scenario_dir_absent_optional_files_read_as_none() {
             ..ScenarioDir::default()
         }
     );
-    // A batch diagnosis has no baseline to fill the sensors in from.
-    let e = read.parse().unwrap_err();
-    assert!(matches!(e, ScenarioError::Missing("sensors.txt")), "{e:?}");
+    // The parse leaves every absent file to the caller.
+    let inputs = read.parse().unwrap();
+    assert_eq!(
+        write_snapshot(&inputs.after),
+        write_snapshot(&sample_obs().after)
+    );
+    assert!(inputs.sensors.is_none() && inputs.before.is_none() && inputs.ip2as.is_none());
+    assert!(inputs.feed.is_none() && inputs.lg.is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use netdiag_topology::{AsId, Prefix, SensorId};
 use netdiagnoser::text::{
-    parse_feed, parse_observations, parse_sensors, parse_snapshot, write_feed, write_observations,
-    write_sensors, write_snapshot, ParseError, RecordedIpToAs, RecordedLookingGlass,
+    parse_feed, parse_sensors, parse_snapshot, write_feed, write_observations, write_sensors,
+    write_snapshot, ParseError, RecordedIpToAs, RecordedLookingGlass, ScenarioDir, ScenarioError,
 };
 use netdiagnoser::{
     Hop, IgpLinkDownObs, LookingGlass, Observations, ProbePath, RoutingFeed, SensorMeta, Snapshot,
@@ -64,6 +64,27 @@ fn arb_observations() -> impl Strategy<Value = Observations> {
             before: Snapshot { paths: before },
             after: Snapshot { paths: after },
         })
+}
+
+/// Parses the three observation texts as every front end does: as a
+/// scenario directory ([`ScenarioDir::parse`]).
+fn parse_observations(
+    sensors: &str,
+    before: &str,
+    after: &str,
+) -> Result<Observations, ScenarioError> {
+    let inputs = ScenarioDir {
+        sensors: Some(sensors.to_owned()),
+        before: Some(before.to_owned()),
+        after: after.to_owned(),
+        ..ScenarioDir::default()
+    }
+    .parse()?;
+    Ok(Observations {
+        sensors: inputs.sensors.unwrap(),
+        before: inputs.before.unwrap(),
+        after: inputs.after,
+    })
 }
 
 proptest! {
@@ -253,7 +274,7 @@ proptest! {
     }
 
     #[test]
-    fn parse_observations_is_total(
+    fn scenario_parse_is_total(
         files in valid_files(),
         hostile in hostile_text(),
         which in 0usize..3,
@@ -266,7 +287,8 @@ proptest! {
                 let again = parse_observations(&s, &b, &a).unwrap();
                 prop_assert_eq!(write_observations(&again), (s, b, a));
             }
-            Err(e) => located(&e)?,
+            Err(ScenarioError::Parse(_, e)) => located(&e)?,
+            Err(e) => prop_assert!(false, "not a parse error: {e}"),
         }
     }
 }

@@ -16,9 +16,11 @@
 //! netdiag diagnose --dir DIR [--algo tomo|nd-edge|nd-bgpigp|nd-lg]
 //!                  [--json] [--min-confidence F] [--max-issues N]
 //!     Reads a scenario directory (`ScenarioDir`; the feed and Looking
-//!     Glass files may be absent) and prints the diagnosis report — the
-//!     flat text by default, followed by the ground truth when DIR has
-//!     one, or the versioned `DiagnosticReport` JSON alone with `--json`.
+//!     Glass files may be absent when the algorithm does not read them,
+//!     and an absent file it needs is named in the error) and prints the
+//!     diagnosis report — the flat text by default, followed by the ground
+//!     truth when DIR has one, or the versioned `DiagnosticReport` JSON
+//!     alone with `--json`.
 //!     The threshold flags feed the report's `DiagnosticsConfig` (drop
 //!     weak findings, cap the issue list).
 //!
@@ -64,9 +66,10 @@ use netdiag_experiments::sampling::FailureSpec;
 use netdiag_netsim::looking_glass_query;
 use netdiag_obs::{LiveRecorder, Recorder, RecorderHandle, TraceRecorder};
 use netdiagnoser::text::{
-    write_feed, write_observations, RecordedIpToAs, RecordedLookingGlass, ScenarioDir,
+    self, write_feed, write_observations, RecordedIpToAs, RecordedLookingGlass, ScenarioDir,
+    ScenarioError::Missing,
 };
-use netdiagnoser::{Algorithm, DiagnosticsConfig, NetDiagnoser};
+use netdiagnoser::{Algorithm, DiagnosticsConfig, NetDiagnoser, Observations};
 
 fn usage() -> ! {
     eprintln!(
@@ -381,13 +384,28 @@ fn simulate(args: Vec<String>) -> ExitCode {
 
 fn diagnose(args: Vec<String>) -> ExitCode {
     let dir = PathBuf::from(get_flag(&args, "--dir").unwrap_or_else(|| usage()));
-    let algo = get_flag(&args, "--algo").unwrap_or_else(|| "nd-edge".into());
-
+    let algorithm: Algorithm = get_flag(&args, "--algo")
+        .map_or(Ok(Algorithm::NdEdge), |algo| algo.parse())
+        .unwrap_or_else(|_| usage());
+    // No baseline stands in for an absent file here: every input the
+    // algorithm reads must be on disk.
     let read = ScenarioDir::read(&dir).and_then(|scenario| {
         let inputs = scenario.parse()?;
-        Ok((scenario.truth, inputs))
+        let obs = Observations {
+            sensors: inputs.sensors.ok_or(Missing(text::SENSORS))?,
+            before: inputs.before.ok_or(Missing(text::BEFORE))?,
+            after: inputs.after,
+        };
+        let ip2as = inputs.ip2as.ok_or(Missing(text::IP2AS))?;
+        if algorithm.reads_feed() && inputs.feed.is_none() {
+            return Err(Missing(text::FEED));
+        }
+        if algorithm.reads_looking_glass() && inputs.lg.is_none() {
+            return Err(Missing(text::LG));
+        }
+        Ok((scenario.truth, obs, ip2as, inputs.feed, inputs.lg))
     });
-    let (truth, inputs) = match read {
+    let (truth, obs, ip2as, feed, lg) = match read {
         Ok(read) => read,
         Err(e) => {
             eprintln!("{e}");
@@ -395,9 +413,6 @@ fn diagnose(args: Vec<String>) -> ExitCode {
         }
     };
 
-    let Ok(algorithm) = algo.parse::<Algorithm>() else {
-        usage()
-    };
     let as_json = args.iter().any(|a| a == "--json");
     let mut config = DiagnosticsConfig::for_algorithm(algorithm);
     config.min_confidence = num_flag(&args, "--min-confidence", config.min_confidence);
@@ -407,13 +422,13 @@ fn diagnose(args: Vec<String>) -> ExitCode {
         let _trial = netdiag_obs::trial_scope(0, 0);
         let _phase = netdiag_obs::phase_scope(netdiag_obs::Phase::Diagnose);
         let mut builder = NetDiagnoser::builder().config(config).recorder(recorder);
-        if let Some(feed) = inputs.feed {
+        if let Some(feed) = feed {
             builder = builder.routing_feed(feed);
         }
-        if let Some(lg) = inputs.lg {
+        if let Some(lg) = lg {
             builder = builder.looking_glass(lg);
         }
-        match builder.build().report(&inputs.obs, &inputs.ip2as) {
+        match builder.build().report(&obs, &ip2as) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("diagnosis failed: {e}");

@@ -34,6 +34,7 @@ struct Ev {
 struct DiagBlock {
     algorithm: String,
     reroute_sets: Vec<Json>,
+    lg_tags: Vec<Json>,
     forced: Vec<Json>,
     exonerated: Vec<Json>,
     picks: Vec<Json>,
@@ -148,6 +149,7 @@ fn group_blocks(trial_events: &[&Ev]) -> Vec<DiagBlock> {
                 let Some(b) = current.as_mut() else { continue };
                 match e.name.as_str() {
                     n if n == names::EV_DIAG_REROUTE_SET => b.reroute_sets.push(e.payload.clone()),
+                    n if n == names::EV_DIAG_LG_TAG => b.lg_tags.push(e.payload.clone()),
                     n if n == names::EV_FEED_FORCED => b.forced.push(e.payload.clone()),
                     n if n == names::EV_FEED_EXONERATED => b.exonerated.push(e.payload.clone()),
                     n if n == names::EV_HS_PICK => b.picks.push(e.payload.clone()),
@@ -224,6 +226,10 @@ fn render_block(out: &mut String, b: &DiagBlock) {
         failure_pairs.len(),
         reroute_pairs.len(),
     );
+    if !b.lg_tags.is_empty() {
+        let _ = writeln!(out, "unidentified hops mapped by Looking Glass:");
+        render_lg_tags(out, &b.lg_tags);
+    }
 
     let Some(done) = b.done.as_ref() else {
         let _ = writeln!(out, "(diagnosis did not finish in this trace)");
@@ -281,6 +287,41 @@ fn render_block(out: &mut String, b: &DiagBlock) {
             })
             .collect();
         let _ = writeln!(out, "unexplained failed pairs: {}", pairs.join(", "));
+    }
+}
+
+/// Renders ND-LG's hop tags, one line per run of consecutive hops of a
+/// path that got the same candidate ASes from the same Looking Glass
+/// answer.
+fn render_lg_tags(out: &mut String, tags: &[Json]) {
+    let ases = |tag: &Json, key: &str| -> Vec<String> {
+        u64_list(tag.get(key))
+            .iter()
+            .map(|a| format!("AS{a}"))
+            .collect()
+    };
+    // (path, what its hops were tagged with, first hop, last hop)
+    let mut runs: Vec<(String, String, u64, u64)> = Vec::new();
+    for tag in tags {
+        let path = text(tag.get("path"));
+        let tagged = format!(
+            "candidate ASes {{{}}} (Looking Glass AS path {})",
+            ases(tag, "candidates").join(", "),
+            ases(tag, "lg_path").join(" "),
+        );
+        let hop = tag.get("hop").and_then(Json::as_u64).unwrap_or(0);
+        match runs.last_mut() {
+            Some((p, t, _, last)) if *p == path && *t == tagged && *last + 1 == hop => *last = hop,
+            _ => runs.push((path, tagged, hop, hop)),
+        }
+    }
+    for (path, tagged, first, last) in runs {
+        let hops = if first == last {
+            format!("hop {first}")
+        } else {
+            format!("hops {first}-{last}")
+        };
+        let _ = writeln!(out, "  - {path} path, {hops}: {tagged}");
     }
 }
 

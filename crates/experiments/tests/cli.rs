@@ -163,6 +163,92 @@ fn netdiag_diagnose_json_is_one_document_and_truth_is_optional() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// An absent file the diagnosis needs is named: `feed.txt` for the
+/// feed-reading algorithms (not the builder's configuration hint), the
+/// sensors for every algorithm; algorithms that do not read the feed run
+/// without it.
+#[test]
+fn netdiag_diagnose_names_the_missing_file() {
+    let dir = temp_dir("missing");
+    let out = netdiag()
+        .args(["simulate", "--out", dir.to_str().unwrap(), "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let diagnose = |algo: &str| {
+        netdiag()
+            .args(["diagnose", "--dir", dir.to_str().unwrap(), "--algo", algo])
+            .output()
+            .unwrap()
+    };
+    fs::remove_file(dir.join("feed.txt")).unwrap();
+    for algo in ["nd-bgpigp", "nd-lg"] {
+        let out = diagnose(algo);
+        assert_eq!(out.status.code(), Some(1), "{algo}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "missing feed.txt\n",
+            "{algo}"
+        );
+    }
+    assert!(diagnose("nd-edge").status.success());
+    fs::remove_file(dir.join("sensors.txt")).unwrap();
+    let out = diagnose("nd-edge");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "missing sensors.txt\n"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `explain` narrates ND-LG's mapping of unidentified hops: a scenario
+/// with traceroute-blocking ASes, diagnosed with a trace, explains which
+/// candidate ASes each starred hop got from which Looking Glass answer.
+#[test]
+fn netdiag_explain_shows_the_looking_glass_mapping() {
+    let dir = temp_dir("lg_explain");
+    let scn = dir.join("scn");
+    let trace = dir.join("trace.jsonl");
+    let out = netdiag()
+        .args(["simulate", "--out", scn.to_str().unwrap(), "--seed", "3"])
+        .args(["--blocked", "0.3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = netdiag()
+        .args([
+            "diagnose",
+            "--dir",
+            scn.to_str().unwrap(),
+            "--algo",
+            "nd-lg",
+        ])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = netdiag()
+        .args(["explain", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let narrative = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        narrative.contains("unidentified hops mapped by Looking Glass:"),
+        "{narrative}"
+    );
+    assert!(
+        narrative.contains("candidate ASes {AS") && narrative.contains("(Looking Glass AS path AS"),
+        "{narrative}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn netdiag_custom_topology() {
     let dir = temp_dir("custom");

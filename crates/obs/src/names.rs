@@ -147,6 +147,10 @@ pub const EV_DIAG_START: &str = "diag.start";
 /// Event: problem instance built (payload: candidate/failure/reroute
 /// counts, pair names and edge labels for replay).
 pub const EV_DIAG_PROBLEM: &str = "diag.problem_built";
+/// Event: ND-LG tagged one unidentified hop with candidate ASes
+/// (payload: path as snapshot and sensor pair, hop index, candidate ASes
+/// and the Looking Glass AS path they were read from).
+pub const EV_DIAG_LG_TAG: &str = "diag.lg_tag";
 /// Event: one reroute set constructed (payload: pair, excluded edges).
 pub const EV_DIAG_REROUTE_SET: &str = "diag.reroute_set";
 /// Event: diagnosis finished (payload: algorithm, hypothesis labels,

@@ -18,8 +18,11 @@ use netdiag_topology::AsId;
 use netdiagnoser::text::{write_feed, write_snapshot};
 use netdiagnoser::{LookingGlass, SensorMeta, Snapshot};
 
-/// Daemon configuration: how the baseline is generated and how much
-/// concurrent work the request pool accepts.
+/// Daemon configuration: how the baseline is generated, how much
+/// concurrent work the request pool accepts and which telemetry is
+/// mounted. The daemon's `serve.*` metrics go to its own live plane
+/// ([`telemetry`](Self::telemetry)); baseline preparation records
+/// nothing.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Seed for topology generation and sensor placement.
@@ -36,13 +39,11 @@ pub struct ServeConfig {
     /// Queue capacity of the pool; submissions beyond it are rejected
     /// with an overload error (backpressure). `0` means the default (64).
     pub queue: usize,
-    /// Instrumentation sink for `serve.*` metrics and the simulator's
-    /// own counters.
-    pub recorder: RecorderHandle,
     /// Mount the live telemetry plane (default): a lock-free
     /// [`LiveRecorder`](netdiag_obs::LiveRecorder) behind the `stats`
     /// protocol verb, rolled every second for windowed rates. `false`
-    /// leaves only `recorder` attached (the overhead-comparison leg of
+    /// records no metrics at all, and `stats` then reports only the
+    /// diagnose and flight-dump counts (the overhead-comparison leg of
     /// the bench harness).
     pub telemetry: bool,
     /// Request-latency SLO in microseconds for the flight recorder;
@@ -64,7 +65,6 @@ impl Default for ServeConfig {
             gen_ases: 0,
             workers: 0,
             queue: 0,
-            recorder: RecorderHandle::noop(),
             telemetry: true,
             slo_micros: 0,
             flight_path: None,
@@ -125,7 +125,7 @@ impl Baseline {
             n_sensors: config.n_sensors.min(net.stubs.len()),
             ..Default::default()
         };
-        let ctx = prepare_seeded(&net, &run, config.seed, config.recorder.clone());
+        let ctx = prepare_seeded(&net, &run, config.seed, RecorderHandle::noop());
         let sensors = sensor_metas(&ctx.sensors);
         let before = to_snapshot(&ctx.mesh_before);
         Baseline {

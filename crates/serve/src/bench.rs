@@ -163,7 +163,6 @@ fn serve_config(config: &BenchConfig) -> ServeConfig {
         workers: config.workers,
         queue: config.queue,
         telemetry: config.telemetry,
-        recorder: RecorderHandle::noop(),
         ..Default::default()
     }
 }
@@ -239,7 +238,7 @@ pub fn run_with_baseline(
     // The server's own view, over the wire: exercises the stats verb
     // exactly as an operator would.
     let (server_p50_us, server_p99_us) = fetch_server_latency(&addr);
-    let report = merged_report(&handle.live_report(), &client_live);
+    let report = merged_report(handle.live().as_deref(), &client_live);
     handle.stop();
 
     latencies_ns.sort_unstable();
@@ -289,8 +288,8 @@ fn fetch_server_latency(addr: &str) -> (f64, f64) {
 
 /// The daemon's live snapshot with the harness's client-latency series
 /// folded in (with telemetry off, the client series is all there is).
-fn merged_report(server: &Option<RunReport>, client_live: &LiveRecorder) -> RunReport {
-    let mut report = server.clone().unwrap_or_default();
+fn merged_report(server: Option<&LiveRecorder>, client_live: &LiveRecorder) -> RunReport {
+    let mut report = server.map(LiveRecorder::snapshot).unwrap_or_default();
     let client = client_live.snapshot();
     for (name, stats) in client.histograms {
         report.histograms.insert(name, stats);

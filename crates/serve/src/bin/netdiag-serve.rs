@@ -57,7 +57,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use netdiag_obs::json::{parse, Json};
-use netdiag_obs::{names, RecorderHandle};
+use netdiag_obs::names;
 use netdiag_serve::bench::{compare as bench_compare, run as run_bench, BenchConfig, BenchResults};
 use netdiag_serve::proto::{write_diagnose_request, DiagnoseJob};
 use netdiag_serve::{Client, Endpoint, ServeConfig, Server};
@@ -142,7 +142,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         gen_ases: num_flag(args, "--gen-ases", 0usize),
         workers: num_flag(args, "--workers", 0usize),
         queue: num_flag(args, "--queue", 0usize),
-        recorder: RecorderHandle::noop(),
         telemetry: true,
         slo_micros: num_flag(args, "--slo-ms", 0u64).saturating_mul(1_000),
         flight_path: get_flag(args, "--flight").map(PathBuf::from),

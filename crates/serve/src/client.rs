@@ -6,15 +6,12 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-enum Transport {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
+use crate::server::Conn;
 
 /// One connection to a running daemon.
 pub struct Client {
-    writer: Transport,
-    reader: BufReader<Transport>,
+    writer: Conn,
+    reader: BufReader<Conn>,
 }
 
 impl Client {
@@ -25,20 +22,18 @@ impl Client {
         // line terminator); Nagle + delayed ACK would stall each
         // request ~40-90ms waiting to coalesce them.
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(Transport::Tcp(stream.try_clone()?));
-        Ok(Client {
-            writer: Transport::Tcp(stream),
-            reader,
-        })
+        Client::over(Conn::Tcp(stream))
     }
 
     /// Connects over a Unix domain socket.
     pub fn connect_unix(path: &Path) -> std::io::Result<Client> {
-        let stream = UnixStream::connect(path)?;
-        let reader = BufReader::new(Transport::Unix(stream.try_clone()?));
+        Client::over(Conn::Unix(UnixStream::connect(path)?))
+    }
+
+    fn over(conn: Conn) -> std::io::Result<Client> {
         Ok(Client {
-            writer: Transport::Unix(stream),
-            reader,
+            reader: BufReader::new(conn.try_clone()?),
+            writer: conn,
         })
     }
 
@@ -61,30 +56,5 @@ impl Client {
             response.pop();
         }
         Ok(response)
-    }
-}
-
-impl std::io::Read for Transport {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Transport::Tcp(s) => s.read(buf),
-            Transport::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Transport {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Transport::Tcp(s) => s.write(buf),
-            Transport::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Transport::Tcp(s) => s.flush(),
-            Transport::Unix(s) => s.flush(),
-        }
     }
 }

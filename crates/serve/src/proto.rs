@@ -14,15 +14,17 @@
 //! * `algo` — algorithm name (default `"nd-edge"`).
 //! * `after` — the post-failure snapshot in the `after.txt` text format
 //!   (required for `diagnose`: this is the uploaded probe matrix).
-//! * `sensors`, `before` — optional sensor directory / `T-` snapshot
-//!   texts; the daemon's converged baseline fills in whichever is
-//!   missing.
-//! * `feed` — optional routing-feed delta (`feed.txt` format; default:
-//!   an empty feed).
-//! * `lg` — optional recorded Looking Glass dump (`lg.txt` format;
-//!   default: the baseline simulator answers queries live).
-//! * `ip2as` — optional IP-to-AS map (`ip2as.txt` format; default: the
-//!   baseline topology).
+//! * `sensors`, `before`, `feed`, `lg`, `ip2as` — the other files of a
+//!   scenario directory, each optional. The daemon parses the uploaded
+//!   texts with [`ScenarioDir::parse`](netdiagnoser::text::ScenarioDir::parse),
+//!   the parse `netdiag diagnose` runs, and fills each absent one from its
+//!   converged baseline:
+//!   - `sensors` (`sensors.txt`): the baseline's sensor directory;
+//!   - `before` (`before.txt`): the baseline's `T-` snapshot;
+//!   - `feed` (`feed.txt`): an empty feed;
+//!   - `lg` (`lg.txt`): the baseline simulator answers Looking Glass
+//!     queries live;
+//!   - `ip2as` (`ip2as.txt`): the baseline topology's address map.
 //! * `min_confidence`, `max_issues` — per-request
 //!   [`DiagnosticsConfig`](netdiagnoser::DiagnosticsConfig) thresholds.
 //! * `explain` — when `true`, the response carries a causal narrative
@@ -32,13 +34,15 @@
 //!
 //! ```json
 //! {"id":1,"ok":true,"report":{...},"text":"=== NetDiagnoser report ===..."}
-//! {"id":1,"ok":false,"error":"after: parse error ..."}
+//! {"id":1,"ok":false,"error":"before.txt: parse error: line 1: hop before any path header"}
 //! ```
 //!
 //! `report` is the versioned
 //! [`DiagnosticReport`](netdiagnoser::DiagnosticReport) JSON; `text` is
 //! its `Display` rendering, byte-identical to `netdiag diagnose` on the
-//! same inputs.
+//! same inputs. A malformed upload's `error` is the message `netdiag
+//! diagnose` prints for the same file (`netdiag-serve request` prefixes
+//! it with `daemon error: `).
 //!
 //! A request line longer than [`MAX_REQUEST_BYTES`] gets one error
 //! response, and then the daemon closes the connection.
@@ -63,7 +67,7 @@ pub enum Request {
         /// Echo id.
         id: u64,
     },
-    /// Daemon telemetry snapshot: legacy counters, plus (when the live
+    /// Daemon telemetry snapshot: summary counters, plus (when the live
     /// plane is mounted) the full metrics report, windowed rates and an
     /// optional Prometheus text exposition.
     Stats {
@@ -183,7 +187,7 @@ pub fn write_diagnose_request(id: u64, job: &DiagnoseJob) -> String {
         "{{\"op\":\"diagnose\",\"id\":{id},\"algo\":\"{}\"",
         job.algo
     );
-    let mut field = |key: &str, value: &Option<String>| {
+    let mut field = |key: &str, value: Option<&str>| {
         if let Some(text) = value {
             out.push_str(",\"");
             out.push_str(key);
@@ -191,12 +195,12 @@ pub fn write_diagnose_request(id: u64, job: &DiagnoseJob) -> String {
             push_json_string(&mut out, text);
         }
     };
-    field("sensors", &job.sensors);
-    field("before", &job.before);
-    field("after", &Some(job.after.clone()));
-    field("feed", &job.feed);
-    field("lg", &job.lg);
-    field("ip2as", &job.ip2as);
+    field("sensors", job.sensors.as_deref());
+    field("before", job.before.as_deref());
+    field("after", Some(&job.after));
+    field("feed", job.feed.as_deref());
+    field("lg", job.lg.as_deref());
+    field("ip2as", job.ip2as.as_deref());
     if job.min_confidence > 0.0 {
         out.push_str(&format!(",\"min_confidence\":{}", job.min_confidence));
     }

@@ -28,15 +28,10 @@ use std::time::{Duration, Instant};
 
 use netdiag_experiments::explain::{explain, ExplainFilter};
 use netdiag_obs::{
-    names, push_json_string, LiveRecorder, Recorder, RecorderHandle, RunReport, TraceRecorder,
-    WindowDelta,
+    names, push_json_string, LiveRecorder, Recorder, RecorderHandle, TraceRecorder, WindowDelta,
 };
-use netdiagnoser::text::{
-    parse_feed, parse_sensors, parse_snapshot, RecordedIpToAs, RecordedLookingGlass,
-};
-use netdiagnoser::{
-    DiagnosticsConfig, IpToAs, NetDiagnoser, NetDiagnoserBuilder, Observations, RoutingFeed,
-};
+use netdiagnoser::text::ScenarioDir;
+use netdiagnoser::{DiagnosticsConfig, IpToAs, NetDiagnoser, Observations};
 
 use crate::baseline::{Baseline, ServeConfig};
 use crate::flight::{FlightRecorder, PhaseNanos};
@@ -92,14 +87,15 @@ impl Listener {
     }
 }
 
-/// One accepted client connection (TCP or Unix).
-enum Conn {
+/// One connection's socket (TCP or Unix), at either end: the daemon's
+/// accepted connections and the [`Client`](crate::Client)'s.
+pub(crate) enum Conn {
     Tcp(TcpStream),
     Unix(UnixStream),
 }
 
 impl Conn {
-    fn try_clone(&self) -> std::io::Result<Conn> {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Conn> {
         match self {
             Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
             Conn::Unix(s) => s.try_clone().map(Conn::Unix),
@@ -140,8 +136,8 @@ impl Write for Conn {
     }
 }
 
-/// Shared daemon state: the baseline, the pool, counters and the stop
-/// flag.
+/// Shared daemon state: the baseline, the pool, the telemetry sinks and
+/// the stop flag.
 struct ServerCtx {
     baseline: Arc<Baseline>,
     pool: WorkerPool,
@@ -158,18 +154,11 @@ struct ServerCtx {
     /// the rest to unblock threads parked in client reads.
     conns: Mutex<BTreeMap<u64, Conn>>,
     stop: AtomicBool,
+    /// Diagnose requests accepted so far (each request's trial id).
     seq: AtomicU64,
-    connections: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
 }
 
 impl ServerCtx {
-    fn note_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        self.recorder.add(names::SERVE_ERRORS, 1);
-    }
-
     /// Wakes the blocking `accept` so the loop can observe `stop`.
     fn wake_accept(&self) {
         match &self.bound {
@@ -213,9 +202,8 @@ impl Server {
                 (Listener::Unix(l), Bound::Unix(path.clone()))
             }
         };
-        // The live plane replaces the old global-mutex recorder: all
-        // `serve.*` metrics take the lock-free path, with the caller's
-        // own sink fanned in only when it actually collects something.
+        // Every `serve.*` metric lands in the lock-free live plane; with
+        // telemetry off nothing records them.
         let live = config.telemetry.then(|| Arc::new(LiveRecorder::new()));
         let flight = match &config.flight_path {
             Some(path) => Some(Arc::new(
@@ -224,16 +212,9 @@ impl Server {
             )),
             None => None,
         };
-        let recorder = match &live {
-            Some(live) if config.recorder.enabled() || config.recorder.trace_enabled() => {
-                RecorderHandle::fanout(vec![
-                    config.recorder.sink(),
-                    Arc::clone(live) as Arc<dyn Recorder>,
-                ])
-            }
-            Some(live) => RecorderHandle::new(Arc::clone(live) as Arc<dyn Recorder>),
-            None => config.recorder.clone(),
-        };
+        let recorder = live.as_ref().map_or_else(RecorderHandle::noop, |live| {
+            RecorderHandle::new(Arc::clone(live) as Arc<dyn Recorder>)
+        });
         let pool = WorkerPool::new(
             config.resolved_workers(),
             config.resolved_queue(),
@@ -250,9 +231,6 @@ impl Server {
             conns: Mutex::new(BTreeMap::new()),
             stop: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
         });
         let accept_ctx = Arc::clone(&ctx);
         let accept = std::thread::spawn(move || accept_loop(&listener, &accept_ctx));
@@ -345,7 +323,6 @@ fn accept_loop(listener: &Listener, ctx: &Arc<ServerCtx>) {
 }
 
 fn handle_connection(conn: Conn, ctx: &Arc<ServerCtx>) {
-    ctx.connections.fetch_add(1, Ordering::Relaxed);
     ctx.recorder.add(names::SERVE_CONNECTIONS, 1);
     let Ok(read_half) = conn.try_clone() else {
         return;
@@ -402,12 +379,11 @@ fn handle_connection(conn: Conn, ctx: &Arc<ServerCtx>) {
 /// could not be read); the boolean asks the connection loop to start
 /// daemon shutdown after writing it.
 fn respond(line: Result<&str, String>, ctx: &Arc<ServerCtx>) -> (String, bool) {
-    ctx.requests.fetch_add(1, Ordering::Relaxed);
     ctx.recorder.add(names::SERVE_REQUESTS, 1);
     let request = match line.and_then(proto::parse_request) {
         Ok(request) => request,
         Err(e) => {
-            ctx.note_error();
+            ctx.recorder.add(names::SERVE_ERRORS, 1);
             return (error_response(0, &e), false);
         }
     };
@@ -435,14 +411,14 @@ fn respond(line: Result<&str, String>, ctx: &Arc<ServerCtx>) -> (String, bool) {
             let seq = ctx.seq.fetch_add(1, Ordering::Relaxed);
             let enqueued = Instant::now();
             let submitted = ctx.pool.submit(Box::new(move || {
-                let _ = reply_tx.send(serve_diagnose(&job_ctx, seq, id, &job, enqueued));
+                let _ = reply_tx.send(serve_diagnose(&job_ctx, seq, id, *job, enqueued));
             }));
             let response = match submitted {
                 Ok(()) => reply_rx
                     .recv()
                     .unwrap_or_else(|_| error_response(id, "worker dropped the request")),
                 Err(full) => {
-                    ctx.note_error();
+                    ctx.recorder.add(names::SERVE_ERRORS, 1);
                     error_response(id, &full.to_string())
                 }
             };
@@ -451,23 +427,32 @@ fn respond(line: Result<&str, String>, ctx: &Arc<ServerCtx>) -> (String, bool) {
     }
 }
 
-/// The `stats` verb: legacy counters plus (with the live plane mounted)
-/// health, the full compacted report, the requested rate/percentile
-/// window and the optional Prometheus exposition — all on one line.
+/// The `stats` verb: health, the summary counters and (with the live
+/// plane mounted) the full compacted report, the requested
+/// rate/percentile window and the optional Prometheus exposition — all
+/// on one line. The connection, request and error counts are read from
+/// the live report, so with telemetry off the summary holds only the
+/// diagnose and flight-dump counts.
 fn stats_response(ctx: &ServerCtx, id: u64, prom: bool, window_secs: u64) -> String {
-    let flight_dumps = ctx.flight.as_ref().map_or(0, |f| f.dumps());
+    let report = ctx.live.as_ref().map(|live| live.snapshot());
     let mut extra = format!(
-        "\"health\":\"ready\",\"uptime_secs\":{},\
-         \"stats\":{{\"connections\":{},\"requests\":{},\"errors\":{},\"diagnoses\":{},\
-         \"flight_dumps\":{flight_dumps}}}",
-        ctx.started.elapsed().as_secs(),
-        ctx.connections.load(Ordering::Relaxed),
-        ctx.requests.load(Ordering::Relaxed),
-        ctx.errors.load(Ordering::Relaxed),
-        ctx.seq.load(Ordering::Relaxed),
+        "\"health\":\"ready\",\"uptime_secs\":{},\"stats\":{{",
+        ctx.started.elapsed().as_secs()
     );
-    if let Some(live) = &ctx.live {
-        let report = live.snapshot();
+    if let Some(report) = &report {
+        extra.push_str(&format!(
+            "\"connections\":{},\"requests\":{},\"errors\":{},",
+            report.counter(names::SERVE_CONNECTIONS),
+            report.counter(names::SERVE_REQUESTS),
+            report.counter(names::SERVE_ERRORS),
+        ));
+    }
+    extra.push_str(&format!(
+        "\"diagnoses\":{},\"flight_dumps\":{}}}",
+        ctx.seq.load(Ordering::Relaxed),
+        ctx.flight.as_ref().map_or(0, |f| f.dumps()),
+    ));
+    if let (Some(live), Some(report)) = (&ctx.live, report) {
         // The report serializer pretty-prints; the line protocol needs
         // one line. Raw newlines only ever appear as formatting (string
         // contents are escaped), so stripping them is safe.
@@ -536,7 +521,7 @@ fn serve_diagnose(
     ctx: &Arc<ServerCtx>,
     seq: u64,
     id: u64,
-    job: &DiagnoseJob,
+    job: DiagnoseJob,
     enqueued: Instant,
 ) -> String {
     let queue_nanos = elapsed_nanos(enqueued);
@@ -557,7 +542,7 @@ fn serve_diagnose(
     let response = match handle_diagnose(ctx, seq, id, job, ring.as_ref(), &mut phases) {
         Ok(response) => response,
         Err(e) => {
-            ctx.note_error();
+            ctx.recorder.add(names::SERVE_ERRORS, 1);
             error_response(id, &e)
         }
     };
@@ -570,14 +555,16 @@ fn serve_diagnose(
     response
 }
 
-/// Runs one diagnosis on a worker thread: resolve inputs against the
-/// baseline, build an owned diagnoser, structure the report, optionally
-/// replay the request's own trace into a narrative.
+/// Runs one diagnosis on a worker thread: parse the uploaded texts as a
+/// scenario directory (the batch CLI's parse, so errors read the same),
+/// fill absent files from the baseline, build an owned diagnoser,
+/// structure the report, optionally replay the request's own trace into
+/// a narrative.
 fn handle_diagnose(
     ctx: &Arc<ServerCtx>,
     seq: u64,
     id: u64,
-    job: &DiagnoseJob,
+    job: DiagnoseJob,
     ring: Option<&Arc<TraceRecorder>>,
     phases: &mut PhaseNanos,
 ) -> Result<String, String> {
@@ -603,23 +590,24 @@ fn handle_diagnose(
 
     let restore_started = Instant::now();
     let baseline = &ctx.baseline;
-    let sensors = match &job.sensors {
-        Some(text) => parse_sensors(text).map_err(|e| format!("sensors: {e}"))?,
-        None => baseline.sensors().to_vec(),
-    };
-    let before = match &job.before {
-        Some(text) => parse_snapshot(text).map_err(|e| format!("before: {e}"))?,
-        None => baseline.before().clone(),
-    };
-    let after = parse_snapshot(&job.after).map_err(|e| format!("after: {e}"))?;
+    let inputs = ScenarioDir {
+        sensors: job.sensors,
+        before: job.before,
+        after: job.after,
+        feed: job.feed,
+        lg: job.lg,
+        ip2as: job.ip2as,
+        truth: None,
+        dot: None,
+    }
+    .parse()
+    .map_err(|e| e.to_string())?;
     let obs = Observations {
-        sensors,
-        before,
-        after,
-    };
-    let feed = match &job.feed {
-        Some(text) => parse_feed(text).map_err(|e| format!("feed: {e}"))?,
-        None => RoutingFeed::default(),
+        sensors: inputs
+            .sensors
+            .unwrap_or_else(|| baseline.sensors().to_vec()),
+        before: inputs.before.unwrap_or_else(|| baseline.before().clone()),
+        after: inputs.after,
     };
     let config = DiagnosticsConfig {
         algorithm: job.algo,
@@ -629,17 +617,14 @@ fn handle_diagnose(
     };
     let builder = NetDiagnoser::builder()
         .config(config)
-        .routing_feed(feed)
+        .routing_feed(inputs.feed.unwrap_or_default())
         .recorder(recorder);
-    let builder: NetDiagnoserBuilder = match &job.lg {
-        Some(text) => {
-            let lg = RecordedLookingGlass::parse(text).map_err(|e| format!("lg: {e}"))?;
-            builder.looking_glass(lg)
-        }
+    let builder = match inputs.lg {
+        Some(lg) => builder.looking_glass(lg),
         None => builder.looking_glass(baseline.looking_glass()),
     };
-    let ip2as: Box<dyn IpToAs + '_> = match &job.ip2as {
-        Some(text) => Box::new(RecordedIpToAs::parse(text).map_err(|e| format!("ip2as: {e}"))?),
+    let ip2as: Box<dyn IpToAs + '_> = match inputs.ip2as {
+        Some(ip2as) => Box::new(ip2as),
         None => Box::new(baseline.ip_to_as()),
     };
     phases.restore = elapsed_nanos(restore_started);
@@ -706,18 +691,10 @@ impl ServerHandle {
         &self.ctx.baseline
     }
 
-    /// A point-in-time snapshot of the live telemetry registry (`None`
-    /// when the config opted out of telemetry). What `--profile` writes
-    /// and the bench harness reads — the in-process mirror of the
-    /// `stats` verb.
-    pub fn live_report(&self) -> Option<RunReport> {
-        self.ctx.live.as_ref().map(|live| live.snapshot())
-    }
-
-    /// The live telemetry registry itself (`None` when the config opted
-    /// out). Clone the [`Arc`] to snapshot after
-    /// [`join`](Self::join)/[`stop`](Self::stop) consume the handle —
-    /// `--profile` does exactly that.
+    /// The live telemetry registry (`None` when the config opted out),
+    /// the in-process mirror of the `stats` verb. Clone the [`Arc`] to
+    /// snapshot after [`join`](Self::join)/[`stop`](Self::stop) consume
+    /// the handle — `--profile` does exactly that.
     pub fn live(&self) -> Option<Arc<LiveRecorder>> {
         self.ctx.live.clone()
     }

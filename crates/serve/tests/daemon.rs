@@ -459,3 +459,131 @@ fn strict_algorithms_error_without_a_feed() {
         .contains("feed"));
     handle.stop();
 }
+
+/// Uploads go through the scenario parse `netdiag diagnose` runs: a
+/// corrupt upload of any of the six files is refused with that parse's
+/// message, which names the file and the line.
+#[test]
+fn corrupt_uploads_name_their_file() {
+    let (handle, baseline, addr) = start_daemon();
+    let scenario = baseline.sample_scenario(3).expect("scenario sampled");
+    let job = DiagnoseJob {
+        algo: Algorithm::NdLg,
+        after: scenario.after,
+        feed: Some(scenario.feed),
+        ..Default::default()
+    };
+    let garbage = || Some("garbage-line\n".to_owned());
+    let mut client = Client::connect_tcp(&addr).expect("client connects");
+    for (file, corrupt) in [
+        (
+            "sensors.txt",
+            DiagnoseJob {
+                sensors: garbage(),
+                ..job.clone()
+            },
+        ),
+        (
+            "before.txt",
+            DiagnoseJob {
+                before: garbage(),
+                ..job.clone()
+            },
+        ),
+        (
+            "after.txt",
+            DiagnoseJob {
+                after: "garbage-line\n".to_owned(),
+                ..job.clone()
+            },
+        ),
+        (
+            "feed.txt",
+            DiagnoseJob {
+                feed: garbage(),
+                ..job.clone()
+            },
+        ),
+        (
+            "lg.txt",
+            DiagnoseJob {
+                lg: garbage(),
+                ..job.clone()
+            },
+        ),
+        (
+            "ip2as.txt",
+            DiagnoseJob {
+                ip2as: garbage(),
+                ..job.clone()
+            },
+        ),
+    ] {
+        let response = client
+            .request_line(&write_diagnose_request(1, &corrupt))
+            .expect("answered");
+        let v = parse(&response).expect("response is JSON");
+        assert!(matches!(v.get("ok"), Some(Json::Bool(false))), "{response}");
+        let error = v
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error message");
+        assert!(
+            error.starts_with(&format!("{file}: parse error: line 1: ")),
+            "{file}: {error}"
+        );
+    }
+    // The uncorrupted job runs.
+    let response = client
+        .request_line(&write_diagnose_request(2, &job))
+        .expect("answered");
+    assert!(response.contains("\"ok\":true"), "{response}");
+    handle.stop();
+}
+
+/// The `stats` summary reads the daemon's one set of counters, the live
+/// registry: with telemetry on it reports connections, requests and
+/// errors as recorded; with telemetry off only the daemon's own diagnose
+/// and flight-dump counts remain.
+#[test]
+fn stats_summary_reads_the_live_counters() {
+    for telemetry in [true, false] {
+        let baseline = Arc::new(Baseline::prepare(&test_config()));
+        let handle = Server::start_with_baseline(
+            ServeConfig {
+                telemetry,
+                ..test_config()
+            },
+            Endpoint::Tcp("127.0.0.1:0".to_owned()),
+            baseline,
+        )
+        .expect("daemon binds a loopback port");
+        let addr = handle.tcp_addr().expect("TCP endpoint resolves");
+        let mut client = Client::connect_tcp(&addr.to_string()).expect("client connects");
+        client.request_line("not json").expect("error answered");
+        let stats = client
+            .request_line(r#"{"op":"stats","id":1}"#)
+            .expect("stats answered");
+        let v = parse(&stats).expect("stats response is JSON");
+        let Some(Json::Obj(fields)) = v.get("stats") else {
+            panic!("stats object missing: {stats}");
+        };
+        let summary: Vec<(&str, u64)> = fields
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_u64().expect("numeric stat")))
+            .collect();
+        let expected: &[(&str, u64)] = if telemetry {
+            &[
+                ("connections", 1),
+                ("requests", 2),
+                ("errors", 1),
+                ("diagnoses", 0),
+                ("flight_dumps", 0),
+            ]
+        } else {
+            &[("diagnoses", 0), ("flight_dumps", 0)]
+        };
+        assert_eq!(summary, expected, "telemetry {telemetry}: {stats}");
+        handle.stop();
+    }
+}

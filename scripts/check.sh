@@ -128,6 +128,22 @@ diff -u "$servedir/batch.txt" "$servedir/daemon.txt"
 # The same parity for the JSON report, which carries no appendix.
 netdiag diagnose --dir "$tracedir/scn" --algo nd-bgpigp --json > "$servedir/batch.json"
 diff -u "$servedir/batch.json" "$servedir/daemon.json"
+# Error parity: both front ends parse a scenario with the same
+# `ScenarioDir::parse`, so a corrupt file gets the same message from each
+# (the daemon's behind its `daemon error: ` prefix).
+cp -r "$tracedir/scn" "$servedir/corrupt"
+{ echo garbage-line; cat "$tracedir/scn/before.txt"; } > "$servedir/corrupt/before.txt"
+if netdiag diagnose --dir "$servedir/corrupt" --algo nd-bgpigp 2> "$servedir/batch.err"; then
+    echo "netdiag diagnose accepted a corrupt before.txt" >&2
+    exit 1
+fi
+if serve request --connect "$addr" --dir "$servedir/corrupt" --algo nd-bgpigp \
+    2> "$servedir/daemon.err"; then
+    echo "netdiag-serve request accepted a corrupt before.txt" >&2
+    exit 1
+fi
+grep -q '^before.txt: parse error: line 1: ' "$servedir/batch.err"
+sed 's/^daemon error: //' "$servedir/daemon.err" | diff -u "$servedir/batch.err" -
 # Hostile input: an over-long line, a line nested past the JSON depth
 # limit, a non-UTF-8 line and a truncated object, one connection each.
 # Each must be refused with an error line (or, for the over-long line, a
