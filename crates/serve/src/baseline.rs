@@ -19,7 +19,7 @@ use netdiagnoser::text::{write_feed, write_snapshot};
 use netdiagnoser::{LookingGlass, SensorMeta, Snapshot};
 
 /// Daemon configuration: how the baseline is generated, how much
-/// concurrent work the request pool accepts and which telemetry is
+/// concurrent diagnosis the admission gate lets in and which telemetry is
 /// mounted. The daemon's `serve.*` metrics go to its own live plane
 /// ([`telemetry`](Self::telemetry)); baseline preparation records
 /// nothing.
@@ -33,11 +33,12 @@ pub struct ServeConfig {
     /// ASes ([`netdiag_topology::gen`]) instead of the paper's 165-AS
     /// evaluation internet.
     pub gen_ases: usize,
-    /// Worker threads for the diagnosis pool; `0` means available
-    /// parallelism.
+    /// Diagnoses that may run at once (each on its connection's
+    /// thread); `0` means available parallelism.
     pub workers: usize,
-    /// Queue capacity of the pool; submissions beyond it are rejected
-    /// with an overload error (backpressure). `0` means the default (64).
+    /// How many diagnose requests may wait for a free slot;
+    /// requests beyond it are rejected with an overload error
+    /// (backpressure). `0` means the default (64).
     pub queue: usize,
     /// Mount the live telemetry plane (default): a lock-free
     /// [`LiveRecorder`](netdiag_obs::LiveRecorder) behind the `stats`
@@ -50,8 +51,9 @@ pub struct ServeConfig {
     /// `0` dumps every request (trace-everything mode). Only meaningful
     /// with [`flight_path`](Self::flight_path).
     pub slo_micros: u64,
-    /// When set, mount the flight recorder: every worker keeps an
-    /// always-on bounded trace ring, and requests breaching
+    /// When set, mount the flight recorder: each of the
+    /// [`workers`](Self::workers) slots keeps an always-on bounded trace
+    /// ring, and requests breaching
     /// [`slo_micros`](Self::slo_micros) dump their causal trace as one
     /// JSONL line (tail sampling) to this file.
     pub flight_path: Option<std::path::PathBuf>,
@@ -73,7 +75,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The worker count this config resolves to.
+    /// How many diagnoses this config lets run at once.
     pub fn resolved_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
@@ -84,7 +86,7 @@ impl ServeConfig {
         }
     }
 
-    /// The queue capacity this config resolves to.
+    /// How many diagnose requests this config lets wait.
     pub fn resolved_queue(&self) -> usize {
         if self.queue > 0 {
             self.queue

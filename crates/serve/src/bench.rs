@@ -39,7 +39,7 @@ pub struct BenchConfig {
     pub requests: usize,
     /// Baseline + scenario seed.
     pub seed: u64,
-    /// Worker threads for the daemon pool (`0` = available parallelism).
+    /// Diagnoses the daemon runs at once (`0` = available parallelism).
     pub workers: usize,
     /// Daemon queue capacity (`0` = default).
     pub queue: usize,

@@ -1,7 +1,8 @@
 //! The flight recorder: tail-sampled causal traces for slow requests.
 //!
-//! Every worker keeps a bounded [`TraceRecorder`] ring always-on (near
-//! noop cost: events land in a per-request ring and are thrown away).
+//! Every admission slot keeps a bounded [`TraceRecorder`] ring
+//! always-on (near noop cost: events land in a per-request ring and are
+//! thrown away).
 //! When a request's end-to-end latency breaches the configured SLO, the
 //! ring — the full causal trace of exactly that request — is dumped as
 //! one JSONL line keyed by the request id, together with the per-phase
@@ -20,7 +21,7 @@ use netdiag_obs::{push_json_string, TraceRecorder};
 /// Per-phase wall-clock breakdown of one diagnose request, nanoseconds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseNanos {
-    /// Time spent queued in the worker pool (submit to pickup).
+    /// Time spent waiting at the admission gate (arrival to admission).
     pub queue: u64,
     /// Input parsing + baseline snapshot restoration.
     pub restore: u64,
@@ -33,7 +34,7 @@ pub struct PhaseNanos {
 /// Appends one JSONL dump per SLO-breaching request to a file.
 pub struct FlightRecorder {
     slo_nanos: u64,
-    /// Appended one full line at a time so concurrent workers never
+    /// Appended one full line at a time so concurrent requests never
     /// interleave partial dumps.
     out: Mutex<File>,
     dumps: AtomicU64,
@@ -64,7 +65,7 @@ impl FlightRecorder {
 
     /// Tail-sampling decision point, called once per finished request:
     /// when `latency_nanos` meets the SLO, writes one JSONL line with
-    /// the request id, phase breakdown and the worker's ring contents.
+    /// the request id, phase breakdown and the slot's ring contents.
     /// Returns whether a dump was written.
     pub fn observe_request(
         &self,
@@ -95,7 +96,7 @@ impl FlightRecorder {
         let mut out = self.out.lock().expect("flight dump file mutex poisoned");
         // lint: allow(lock-across-blocking): dumps must be whole lines —
         // the write happens under the file mutex precisely so concurrent
-        // workers never interleave, and SLO breaches are rare by design.
+        // requests never interleave, and SLO breaches are rare by design.
         let wrote = out.write_all(line.as_bytes()).is_ok();
         // lint: allow(lock-across-blocking): flushed under the same guard
         // so a reader tailing the file only ever sees complete dumps.

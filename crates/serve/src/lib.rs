@@ -13,13 +13,16 @@
 //!    socket for line-delimited JSON requests (see [`proto`]), each an
 //!    uploaded post-failure probe matrix plus an optional routing-feed
 //!    delta.
-//! 3. Requests dispatch onto a bounded [`pool::WorkerPool`]; each worker
-//!    builds an owned [`NetDiagnoser`](netdiagnoser::NetDiagnoser)
-//!    (possible since the facade owns its inputs) against a
-//!    copy-on-write clone of the converged simulator and streams back a
-//!    structured [`DiagnosticReport`](netdiagnoser::DiagnosticReport) —
-//!    plus an optional `explain` narrative replayed from a per-request
-//!    trace stream.
+//! 3. Each connection thread runs its own diagnoses behind an admission
+//!    gate that caps how many run at once and refuses work past a
+//!    bounded wait line. A diagnosis builds an owned
+//!    [`NetDiagnoser`](netdiagnoser::NetDiagnoser) (possible since the
+//!    facade owns its inputs) — nd-lg without an uploaded dump asks a
+//!    copy-on-write clone of the converged simulator as its Looking
+//!    Glass — and streams back a structured
+//!    [`DiagnosticReport`](netdiagnoser::DiagnosticReport), plus an
+//!    optional `explain` narrative replayed from a per-request trace
+//!    stream.
 //!
 //! The daemon is observable while it runs: a lock-free
 //! [`LiveRecorder`](netdiag_obs::LiveRecorder) backs the `stats` and
@@ -38,7 +41,6 @@ pub mod baseline;
 pub mod bench;
 pub mod client;
 pub mod flight;
-pub mod pool;
 pub mod proto;
 pub mod server;
 

@@ -2,11 +2,12 @@
 //!
 //! One thread accepts connections; each connection gets a thread that
 //! reads request lines and writes response lines in order (per-client
-//! FIFO). Diagnose requests are dispatched onto the bounded
-//! [`WorkerPool`] — concurrency comes from multiple connections, and
-//! overload surfaces as an immediate error response instead of latency
-//! collapse. Shutdown (remote `shutdown` op or [`ServerHandle::stop`])
-//! drains in-flight work and joins every thread.
+//! FIFO), running each diagnosis itself. An admission gate caps how many
+//! diagnoses run at once and how many more may wait for a slot —
+//! concurrency comes from multiple connections, and overload surfaces as
+//! an immediate error response instead of latency collapse. Shutdown
+//! (remote `shutdown` op or [`ServerHandle::stop`]) force-closes live
+//! sockets and joins every thread.
 //!
 //! With telemetry mounted (the default), every `serve.*` metric lands in
 //! a lock-free [`LiveRecorder`] that the `stats` protocol verb snapshots
@@ -22,7 +23,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,22 +36,17 @@ use netdiagnoser::{DiagnosticsConfig, IpToAs, NetDiagnoser, Observations};
 
 use crate::baseline::{Baseline, ServeConfig};
 use crate::flight::{FlightRecorder, PhaseNanos};
-use crate::pool::WorkerPool;
 use crate::proto::{
     self, diagnose_response, error_response, ok_response, DiagnoseJob, Request, MAX_REQUEST_BYTES,
 };
 
-/// Events each worker's always-on flight ring retains (ample for one
-/// request's causal trace; overflow is reported in the dump).
+/// Events each slot's flight ring retains (ample for one request's
+/// causal trace; overflow is reported in the dump).
 const FLIGHT_RING_CAPACITY: usize = 1 << 14;
 
-thread_local! {
-    /// One bounded trace ring per worker thread, reused (cleared) across
-    /// requests so the always-on flight recorder never allocates a fresh
-    /// ring on the request path.
-    static FLIGHT_RING: Arc<TraceRecorder> =
-        Arc::new(TraceRecorder::with_capacity(FLIGHT_RING_CAPACITY));
-}
+/// The refusal a diagnose request gets when every slot is busy and the
+/// wait line is full.
+const OVERLOADED: &str = "server overloaded: diagnosis queue full";
 
 /// Where the daemon listens.
 #[derive(Clone, Debug)]
@@ -136,17 +132,99 @@ impl Write for Conn {
     }
 }
 
-/// Shared daemon state: the baseline, the pool, the telemetry sinks and
-/// the stop flag.
+/// The admission gate in front of the diagnose path: at most `slots`
+/// diagnoses run at once and at most `queue` more wait for a slot; a
+/// request past that is refused rather than queued without bound.
+/// `serve.queue_depth` counts the requests between arrival and
+/// admission.
+struct Gate {
+    state: Mutex<GateState>,
+    freed: Condvar,
+    queue: usize,
+    recorder: RecorderHandle,
+}
+
+struct GateState {
+    /// Indices of the free slots.
+    free: Vec<usize>,
+    /// Requests parked until a slot frees.
+    waiting: usize,
+}
+
+/// One held slot; dropping it frees the slot and wakes one waiter.
+struct Slot<'g> {
+    gate: &'g Gate,
+    index: usize,
+}
+
+impl Gate {
+    fn new(slots: usize, queue: usize, recorder: RecorderHandle) -> Gate {
+        Gate {
+            state: Mutex::new(GateState {
+                free: (0..slots).collect(),
+                waiting: 0,
+            }),
+            freed: Condvar::new(),
+            queue,
+            recorder,
+        }
+    }
+
+    /// Blocks until a slot is free, or refuses at once with
+    /// [`OVERLOADED`] when none is and `queue` requests already wait.
+    // hot
+    fn admit(&self) -> Result<Slot<'_>, &'static str> {
+        let mut state = self
+            .state
+            .lock()
+            .expect("admission gate mutex poisoned: a panic inside the gate");
+        if state.free.is_empty() && state.waiting >= self.queue {
+            return Err(OVERLOADED);
+        }
+        self.recorder.gauge_add(names::SERVE_QUEUE_DEPTH, 1);
+        state.waiting += 1;
+        let index = loop {
+            if let Some(index) = state.free.pop() {
+                break index;
+            }
+            state = self
+                .freed
+                .wait(state)
+                .expect("admission gate mutex poisoned: a panic inside the gate");
+        };
+        state.waiting -= 1;
+        drop(state);
+        self.recorder.gauge_sub(names::SERVE_QUEUE_DEPTH, 1);
+        Ok(Slot { gate: self, index })
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.gate
+            .state
+            .lock()
+            .expect("admission gate mutex poisoned: a panic inside the gate")
+            .free
+            .push(self.index);
+        self.gate.freed.notify_one();
+    }
+}
+
+/// Shared daemon state: the baseline, the admission gate, the telemetry
+/// sinks and the stop flag.
 struct ServerCtx {
     baseline: Arc<Baseline>,
-    pool: WorkerPool,
+    gate: Gate,
     recorder: RecorderHandle,
     /// The live telemetry registry behind the `stats` verb (None only
     /// when the config opts out of telemetry).
     live: Option<Arc<LiveRecorder>>,
     /// Tail-sampling trace dumps for SLO-breaching requests.
     flight: Option<Arc<FlightRecorder>>,
+    /// One always-on trace ring per gate slot, reused (cleared) across
+    /// requests; empty without a flight recorder.
+    rings: Vec<Arc<TraceRecorder>>,
     started: Instant,
     bound: Bound,
     /// Socket closers for every live connection, keyed by accept order;
@@ -154,7 +232,7 @@ struct ServerCtx {
     /// the rest to unblock threads parked in client reads.
     conns: Mutex<BTreeMap<u64, Conn>>,
     stop: AtomicBool,
-    /// Diagnose requests accepted so far (each request's trial id).
+    /// Diagnose requests admitted so far (each request's trial id).
     seq: AtomicU64,
 }
 
@@ -215,17 +293,21 @@ impl Server {
         let recorder = live.as_ref().map_or_else(RecorderHandle::noop, |live| {
             RecorderHandle::new(Arc::clone(live) as Arc<dyn Recorder>)
         });
-        let pool = WorkerPool::new(
-            config.resolved_workers(),
-            config.resolved_queue(),
-            recorder.clone(),
-        );
+        let slots = config.resolved_workers();
+        let rings = if flight.is_some() {
+            (0..slots)
+                .map(|_| Arc::new(TraceRecorder::with_capacity(FLIGHT_RING_CAPACITY)))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let ctx = Arc::new(ServerCtx {
             baseline,
-            pool,
+            gate: Gate::new(slots, config.resolved_queue(), recorder.clone()),
             recorder,
             live,
             flight,
+            rings,
             started: Instant::now(),
             bound,
             conns: Mutex::new(BTreeMap::new()),
@@ -316,7 +398,6 @@ fn accept_loop(listener: &Listener, ctx: &Arc<ServerCtx>) {
     for handle in handlers {
         let _ = handle.join();
     }
-    ctx.pool.shutdown();
     if let Bound::Unix(path) = &ctx.bound {
         let _ = std::fs::remove_file(path);
     }
@@ -378,7 +459,7 @@ fn handle_connection(conn: Conn, ctx: &Arc<ServerCtx>) {
 /// Produces the response line for one request line (or the reason it
 /// could not be read); the boolean asks the connection loop to start
 /// daemon shutdown after writing it.
-fn respond(line: Result<&str, String>, ctx: &Arc<ServerCtx>) -> (String, bool) {
+fn respond(line: Result<&str, String>, ctx: &ServerCtx) -> (String, bool) {
     ctx.recorder.add(names::SERVE_REQUESTS, 1);
     let request = match line.and_then(proto::parse_request) {
         Ok(request) => request,
@@ -406,20 +487,15 @@ fn respond(line: Result<&str, String>, ctx: &Arc<ServerCtx>) -> (String, bool) {
         ),
         Request::Shutdown { id } => (ok_response(id, "\"stopping\":true"), true),
         Request::Diagnose { id, job } => {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let job_ctx = Arc::clone(ctx);
-            let seq = ctx.seq.fetch_add(1, Ordering::Relaxed);
-            let enqueued = Instant::now();
-            let submitted = ctx.pool.submit(Box::new(move || {
-                let _ = reply_tx.send(serve_diagnose(&job_ctx, seq, id, *job, enqueued));
-            }));
-            let response = match submitted {
-                Ok(()) => reply_rx
-                    .recv()
-                    .unwrap_or_else(|_| error_response(id, "worker dropped the request")),
-                Err(full) => {
+            let arrived = Instant::now();
+            let response = match ctx.gate.admit() {
+                Ok(slot) => {
+                    let seq = ctx.seq.fetch_add(1, Ordering::Relaxed);
+                    serve_diagnose(ctx, &slot, seq, id, *job, arrived)
+                }
+                Err(refusal) => {
                     ctx.recorder.add(names::SERVE_ERRORS, 1);
-                    error_response(id, &full.to_string())
+                    error_response(id, refusal)
                 }
             };
             (response, false)
@@ -514,24 +590,25 @@ fn elapsed_nanos(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The worker-side shell around one diagnose request: records the queue
+/// The shell around one admitted diagnose request: records the queue
 /// wait, runs the diagnosis with per-phase timing, and hands the result
 /// to the flight recorder for the tail-sampling decision.
 fn serve_diagnose(
-    ctx: &Arc<ServerCtx>,
+    ctx: &ServerCtx,
+    slot: &Slot<'_>,
     seq: u64,
     id: u64,
     job: DiagnoseJob,
-    enqueued: Instant,
+    arrived: Instant,
 ) -> String {
-    let queue_nanos = elapsed_nanos(enqueued);
+    let queue_nanos = elapsed_nanos(arrived);
     ctx.recorder
         .record_span(names::SERVE_PHASE_QUEUE, queue_nanos);
     let _span = ctx.recorder.span(names::SERVE_REQUEST);
-    // This worker's always-on ring, cleared so a dump holds exactly this
+    // The slot's always-on ring, cleared so a dump holds exactly this
     // request's causal trace.
-    let ring = ctx.flight.as_ref().map(|_| FLIGHT_RING.with(Arc::clone));
-    if let Some(ring) = &ring {
+    let ring = ctx.rings.get(slot.index);
+    if let Some(ring) = ring {
         ring.clear();
     }
     let mut phases = PhaseNanos {
@@ -539,14 +616,14 @@ fn serve_diagnose(
         ..PhaseNanos::default()
     };
     let started = Instant::now();
-    let response = match handle_diagnose(ctx, seq, id, job, ring.as_ref(), &mut phases) {
+    let response = match handle_diagnose(ctx, seq, id, job, ring, &mut phases) {
         Ok(response) => response,
         Err(e) => {
             ctx.recorder.add(names::SERVE_ERRORS, 1);
             error_response(id, &e)
         }
     };
-    if let (Some(flight), Some(ring)) = (&ctx.flight, &ring) {
+    if let (Some(flight), Some(ring)) = (&ctx.flight, ring) {
         let latency = queue_nanos.saturating_add(elapsed_nanos(started));
         if flight.observe_request(id, seq, latency, &phases, ring) {
             ctx.recorder.add(names::SERVE_FLIGHT_DUMPS, 1);
@@ -555,13 +632,12 @@ fn serve_diagnose(
     response
 }
 
-/// Runs one diagnosis on a worker thread: parse the uploaded texts as a
-/// scenario directory (the batch CLI's parse, so errors read the same),
-/// fill absent files from the baseline, build an owned diagnoser,
-/// structure the report, optionally replay the request's own trace into
-/// a narrative.
+/// Runs one diagnosis: parse the uploaded texts as a scenario directory
+/// (the batch CLI's parse, so errors read the same), fill absent files
+/// from the baseline, build an owned diagnoser, structure the report,
+/// optionally replay the request's own trace into a narrative.
 fn handle_diagnose(
-    ctx: &Arc<ServerCtx>,
+    ctx: &ServerCtx,
     seq: u64,
     id: u64,
     job: DiagnoseJob,
@@ -573,7 +649,7 @@ fn handle_diagnose(
 
     // Per-request trace streams fanned out on top of the daemon's own
     // metrics sink: one for `explain` (fresh, becomes the narrative),
-    // one for the flight recorder (the worker's reusable ring).
+    // one for the flight recorder (the slot's reusable ring).
     let tracer = job.explain.then(|| Arc::new(TraceRecorder::new()));
     let recorder = if tracer.is_some() || ring.is_some() {
         let mut sinks: Vec<Arc<dyn Recorder>> = vec![ctx.recorder.sink()];
@@ -619,7 +695,10 @@ fn handle_diagnose(
         .config(config)
         .routing_feed(inputs.feed.unwrap_or_default())
         .recorder(recorder);
+    // Only nd-lg queries a Looking Glass; the baseline's costs a
+    // simulator clone, so the others run without one.
     let builder = match inputs.lg {
+        _ if !job.algo.reads_looking_glass() => builder,
         Some(lg) => builder.looking_glass(lg),
         None => builder.looking_glass(baseline.looking_glass()),
     };
@@ -685,12 +764,6 @@ impl ServerHandle {
         }
     }
 
-    /// The baseline this daemon serves (tests and the bench harness
-    /// sample request scenarios from it).
-    pub fn baseline(&self) -> &Arc<Baseline> {
-        &self.ctx.baseline
-    }
-
     /// The live telemetry registry (`None` when the config opted out),
     /// the in-process mirror of the `stats` verb. Clone the [`Arc`] to
     /// snapshot after [`join`](Self::join)/[`stop`](Self::stop) consume
@@ -737,5 +810,87 @@ impl Drop for ServerHandle {
         if self.accept.is_some() {
             self.stop_inner();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Spins until `n` requests are parked at the gate.
+    fn await_waiters(gate: &Gate, n: usize) {
+        while gate.state.lock().expect("gate mutex").waiting < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn refuses_a_request_past_the_wait_line() {
+        let gate = Gate::new(1, 1, RecorderHandle::noop());
+        std::thread::scope(|s| {
+            let held = gate.admit().expect("the one slot is free");
+            let waiter = s.spawn(|| gate.admit().map(|slot| slot.index));
+            await_waiters(&gate, 1);
+            assert_eq!(
+                gate.admit().err(),
+                Some("server overloaded: diagnosis queue full")
+            );
+            drop(held);
+            assert_eq!(waiter.join().expect("waiter thread"), Ok(0));
+        });
+    }
+
+    #[test]
+    fn tracks_queue_depth_as_a_gauge() {
+        let (recorder, sink) = RecorderHandle::live();
+        let gate = Gate::new(1, 8, recorder);
+        std::thread::scope(|s| {
+            // Two requests wait behind a held slot, so the gauge's
+            // high-water mark reflects real waiting.
+            let held = gate.admit().expect("the one slot is free");
+            let waiters =
+                [(); 2].map(|()| s.spawn(|| drop(gate.admit().expect("the line has room"))));
+            await_waiters(&gate, 2);
+            drop(held);
+            for waiter in waiters {
+                waiter.join().expect("waiter thread");
+            }
+        });
+        let report = sink.snapshot();
+        let gauge = report
+            .gauge(names::SERVE_QUEUE_DEPTH)
+            .expect("queue depth gauge recorded");
+        assert_eq!(gauge.current, 0);
+        assert!(gauge.high_water >= 2, "high water {}", gauge.high_water);
+        assert!(report.histogram(names::SERVE_QUEUE_DEPTH).is_none());
+    }
+
+    #[test]
+    fn admits_no_more_requests_than_slots() {
+        let gate = Gate::new(2, 8, RecorderHandle::noop());
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let served = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        // Two hold slots, so at most six ever wait.
+                        let _slot = gate
+                            .admit()
+                            .expect("eight threads fit two slots and eight waiters");
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        served.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(served.load(Ordering::SeqCst), 8 * 50);
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&peak), "{peak} requests ran at once");
     }
 }

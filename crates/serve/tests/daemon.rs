@@ -587,3 +587,100 @@ fn stats_summary_reads_the_live_counters() {
         handle.stop();
     }
 }
+
+/// Past its one slot and one waiter the daemon refuses a diagnosis with
+/// the overload error, counts the refusal as an error and not as a
+/// diagnosis, and stays ready. How many requests are refused depends on
+/// scheduling; the accounting does not.
+#[test]
+fn overload_is_refused_and_counted_apart_from_diagnoses() {
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 4;
+    let baseline = Arc::new(Baseline::prepare(&test_config()));
+    let handle = Server::start_with_baseline(
+        ServeConfig {
+            workers: 1,
+            queue: 1,
+            ..test_config()
+        },
+        Endpoint::Tcp("127.0.0.1:0".to_owned()),
+        Arc::clone(&baseline),
+    )
+    .expect("daemon binds a loopback port");
+    let addr = handle
+        .tcp_addr()
+        .expect("TCP endpoint resolves")
+        .to_string();
+    let scenario = baseline.sample_scenario(3).expect("scenario sampled");
+    let line = write_diagnose_request(
+        1,
+        &DiagnoseJob {
+            algo: Algorithm::NdLg,
+            after: scenario.after,
+            feed: Some(scenario.feed),
+            explain: true,
+            ..Default::default()
+        },
+    );
+    let start = std::sync::Barrier::new(CLIENTS);
+    let (reports, refusals) = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut client = Client::connect_tcp(&addr).expect("client connects");
+                    start.wait();
+                    let (mut reports, mut refusals) = (0u64, 0u64);
+                    for _ in 0..ROUNDS {
+                        let response = client.request_line(&line).expect("diagnose answered");
+                        let v = parse(&response).expect("response is JSON");
+                        match v.get("error").and_then(Json::as_str) {
+                            Some(error) => {
+                                assert_eq!(error, "server overloaded: diagnosis queue full");
+                                refusals += 1;
+                            }
+                            None => {
+                                assert!(
+                                    matches!(v.get("ok"), Some(Json::Bool(true))),
+                                    "{response}"
+                                );
+                                DiagnosticReport::from_json_value(
+                                    v.get("report").expect("report present"),
+                                )
+                                .expect("report parses");
+                                reports += 1;
+                            }
+                        }
+                    }
+                    (reports, refusals)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread succeeds"))
+            .fold((0, 0), |(r, f), (cr, cf)| (r + cr, f + cf))
+    });
+    assert_eq!(reports + refusals, (CLIENTS * ROUNDS) as u64);
+    assert!(reports >= 1, "the held slot always serves someone");
+
+    let mut client = Client::connect_tcp(&addr).expect("client connects");
+    let stats = client
+        .request_line(r#"{"op":"stats","id":2}"#)
+        .expect("stats answered");
+    let v = parse(&stats).expect("stats response is JSON");
+    let summary = v.get("stats").expect("stats object present");
+    let stat = |name: &str| summary.get(name).and_then(Json::as_u64);
+    assert_eq!(stat("diagnoses"), Some(reports), "{stats}");
+    assert_eq!(stat("errors"), Some(refusals), "{stats}");
+    let health = client
+        .request_line(r#"{"op":"health","id":3}"#)
+        .expect("health answered");
+    assert_eq!(
+        parse(&health)
+            .expect("JSON")
+            .get("health")
+            .and_then(Json::as_str),
+        Some("ready")
+    );
+    handle.stop();
+}
