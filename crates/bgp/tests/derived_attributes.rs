@@ -1,7 +1,7 @@
-//! The engine stores neither a route's local preference nor its exit
-//! link; both are derived when a route is materialized. After a full
-//! convergence of a generated internet, every Loc-RIB route must carry
-//! the values the stored fields used to hold.
+//! The engine stores neither a route's local preference, its exit link
+//! nor its egress; all three are derived when a route is materialized.
+//! After a full convergence of a generated internet, every Loc-RIB route
+//! must carry the values the stored fields used to hold.
 
 // Test code: unwrap on a broken fixture is the correct failure mode.
 #![allow(clippy::unwrap_used)]
@@ -10,7 +10,7 @@ use netdiag_igp::{Igp, LinkState};
 use netdiag_topology::gen::{generate, GenConfig};
 
 #[test]
-fn materialized_routes_carry_derived_local_pref_and_exit_link() {
+fn materialized_routes_carry_derived_local_pref_exit_link_and_egress() {
     let topology = generate(&GenConfig::new(200, 5)).unwrap().topology;
     let links = LinkState::all_up(&topology);
     let igp = Igp::compute(&topology, &links);
@@ -49,7 +49,14 @@ fn materialized_routes_carry_derived_local_pref_and_exit_link() {
                     assert_eq!(route.source, RouteSource::Originated);
                     originated += 1;
                 }
-                (None, Some(_)) => ibgp += 1,
+                (None, Some((_, peer))) => {
+                    // iBGP is a full mesh without reflection, and a
+                    // router re-advertises internally only the routes it
+                    // exits itself: the sender is the egress.
+                    assert_eq!(route.egress, peer, "{route:?} at {:?}", r.id);
+                    assert_ne!(route.egress, r.id, "{route:?}");
+                    ibgp += 1;
+                }
             }
         }
     }
