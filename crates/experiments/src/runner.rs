@@ -94,8 +94,10 @@ pub struct PlacementContext {
     /// is deterministic, so a failure drawn a second time (common at paper
     /// scale, where hundreds of draws hit the same few hundred probed
     /// links) replays the recorded outcome instead of re-simulating.
-    /// `None` records "fully rerouted — redraw". Bypassed under a tracer,
-    /// whose per-trial event stream a replayed outcome cannot reproduce;
+    /// `None` records "fully rerouted — redraw"; [`run_trial_with`] and
+    /// [`draw_with`] both record and skip those, and only the trial loop
+    /// records and replays outcomes. Bypassed under a tracer, whose
+    /// per-trial event stream a replayed outcome cannot reproduce;
     /// metrics runs use it and count hits under `trial.memo_hits`.
     replay: Mutex<BTreeMap<Vec<u64>, Option<TrialResult>>>,
 }
@@ -419,8 +421,10 @@ impl std::error::Error for DrawError {}
 /// the RNG seeded from `seed ^ 0xF00D`. Each draw takes the trial loop's
 /// sampling and attempt steps on the caller's `scratch` (built from
 /// `ctx`), which is left holding the broken network. There is no
-/// diagnosis, scoring or replay memo: the caller gets the
-/// troubleshooter's inputs.
+/// diagnosis or scoring: the caller gets the troubleshooter's inputs.
+/// Like the trial loop, it skips a failure the placement's replay memo
+/// already records as fully rerouted and records each one it finds, so
+/// the memo never changes which failure is drawn.
 pub fn draw(
     ctx: &PlacementContext,
     scratch: &mut TrialScratch,
@@ -439,6 +443,8 @@ pub fn draw_with(
     rng: &mut StdRng,
 ) -> Result<Drawn, DrawError> {
     let recorder = ctx.sim.recorder().clone();
+    // The trial loop's memo rule: bypassed under a tracer.
+    let memo_on = !recorder.trace_enabled();
     for attempt in 0..MAX_ATTEMPTS {
         let failure = sample_failure_from(
             &ctx.sim,
@@ -449,8 +455,22 @@ pub fn draw_with(
             rng,
         )
         .ok_or(DrawError::NotSampleable)?;
+        let key = if memo_on { failure_key(&failure) } else { None };
+        if let Some(k) = &key {
+            let memo = ctx.replay.lock().expect("replay memo poisoned");
+            if let Some(None) = memo.get(k) {
+                recorder.add(names::TRIAL_MEMO_HITS, 1);
+                continue; // known fully-rerouted: redraw
+            }
+        }
         let mesh_after = scratch.attempt(ctx, &failure, attempt, &recorder);
         if mesh_after.failed_count() == 0 {
+            if let Some(k) = key {
+                ctx.replay
+                    .lock()
+                    .expect("replay memo poisoned")
+                    .insert(k, None);
+            }
             continue; // fully rerouted: no unreachability, redraw
         }
         let (feed, observed_messages) = drain_feed(ctx, &mut scratch.sim);
