@@ -40,7 +40,9 @@ EOF
 # ~0.3s make the ratio swing with scheduler noise even under best-of-3.
 echo "== telemetry gate: daemon throughput with live plane on vs off =="
 cargo build -q --release -p netdiag-serve
-compare_out="$(./target/release/netdiag-serve bench --clients 4 --requests 150 --compare)"
+# The binary cargo just built: under CARGO_TARGET_DIR, ./target holds a
+# stale build or none.
+compare_out="$("${CARGO_TARGET_DIR:-target}/release/netdiag-serve" bench --clients 4 --requests 150 --compare)"
 echo "$compare_out"
 ratio="$(printf '%s\n' "$compare_out" | sed -n 's/^telemetry-compare:.*ratio \([0-9.]*\)$/\1/p')"
 if [ -z "$ratio" ]; then

@@ -76,12 +76,16 @@ print(f"{r['threads']} thread(s): full RIB, {r['rib_routes']} routes, "
 PY
 done
 # Shard workers take ownership of their prefixes' columns and hand them
-# back, so two threads must not hold a second copy of the RIBs.
+# back, so two threads must not hold a second copy of the RIBs. The
+# one-thread run must also fit the full RIB's absolute budget: 44 bytes
+# per router x prefix put the 1k internet at about 57 MiB, and 65 MiB
+# leaves room for noise but not for a wider cell.
 python3 - "${gen_jsons[@]}" <<'PY'
 import json, sys
 one, two = (json.loads(a)["rss_peak_kb"] for a in sys.argv[1:3])
 assert two <= 1.5 * one, f"2-thread peak RSS {two} kB exceeds 1.5x the 1-thread {one} kB"
-print(f"peak RSS: 1 thread {one} kB, 2 threads {two} kB ({two / one:.2f}x)")
+assert one <= 66560, f"1-thread peak RSS {one} kB exceeds the 66560 kB (65 MiB) full-RIB budget"
+print(f"peak RSS: 1 thread {one} kB (budget 66560 kB), 2 threads {two} kB ({two / one:.2f}x)")
 PY
 
 echo "== trace smoke (simulate -> diagnose --trace -> explain) =="
