@@ -11,10 +11,10 @@ use crate::session::SessionId;
 ///
 /// Valley-free (Gao-Rexford) routes over an internet-like hierarchy stay
 /// far below [`AsPath::MAX`] hops, so the path lives in a fixed-size array
-/// rather than an `Arc<[AsId]>`: cloning a route — which the message loop
-/// and every copy-on-write RIB clone do constantly — becomes a plain
-/// memcpy with no refcount traffic, and prepending on eBGP export
-/// allocates nothing.
+/// rather than an `Arc<[AsId]>`: cloning a materialized route is a plain
+/// memcpy with no refcount traffic. (The engine itself stores paths as
+/// interned cons cells and builds an `AsPath` only to materialize a
+/// route.)
 ///
 /// Equality and ordering-relevant reads go through [`Deref`] to
 /// `[AsId]`, so only the first `len` slots ever participate; the unused
@@ -34,21 +34,6 @@ impl AsPath {
         len: 0,
         ids: [AsId(0); AsPath::MAX],
     };
-
-    /// The path with `head` prepended (eBGP export).
-    ///
-    /// Paths longer than [`AsPath::MAX`] cannot arise from valley-free
-    /// routing at our scales; hitting the capacity means the topology
-    /// generator or decision process is broken, so we stop hard.
-    pub fn prepended(&self, head: AsId) -> AsPath {
-        let len = self.len as usize;
-        assert!(len < AsPath::MAX, "AS path exceeds inline capacity");
-        let mut out = AsPath::EMPTY;
-        out.len = self.len + 1;
-        out.ids[0] = head;
-        out.ids[1..=len].copy_from_slice(self.as_slice());
-        out
-    }
 
     /// The populated prefix of the path as a slice.
     #[inline]
@@ -156,8 +141,7 @@ pub struct Route {
     pub prefix: Prefix,
     /// AS path; front = nearest neighbor AS, back = origin AS. Empty for
     /// routes originated by the local AS. Stored inline ([`AsPath`]) so
-    /// route clone/drop is a memcpy and eBGP-export prepends allocate
-    /// nothing.
+    /// route clone/drop is a memcpy.
     pub as_path: AsPath,
     /// Border router of the local AS where traffic exits. Equal to the
     /// storing router for eBGP-learned and originated routes.
@@ -233,10 +217,10 @@ mod tests {
         let base = AsPath::from(vec![AsId(7), AsId(9)]);
         assert_eq!(base.len(), 2);
         assert_eq!(base.first(), Some(&AsId(7)));
-        let longer = base.prepended(AsId(3));
+        let longer = AsPath::from(vec![AsId(3), AsId(7), AsId(9)]);
         assert_eq!(&longer[..], &[AsId(3), AsId(7), AsId(9)]);
         // The zero-filled tail never leaks into equality.
-        assert_eq!(AsPath::from(vec![AsId(3), AsId(7), AsId(9)]), longer);
+        assert_eq!(AsPath::from(&longer[..]), longer);
         assert_ne!(base, longer);
         assert!(AsPath::EMPTY.is_empty());
         assert_eq!(format!("{longer:?}"), "[AS3, AS7, AS9]");
