@@ -15,12 +15,13 @@
 //! interns the prefixes of the ASes it may originate (every AS by
 //! default, see [`Bgp::with_origins`]) into one sorted table at
 //! construction. Each pid owns one [`Column`]: every router's
-//! Adj-RIB-In cell and Loc-RIB slot for that prefix (flat arrays indexed
-//! by router), the routers that originate it, its Adj-RIB-Out bits per
-//! session endpoint and its own [`PathPool`]. Routing toward one prefix
-//! never reads another prefix's state, and every non-empty AS path ends
-//! in its prefix's origin AS, so a column is self-contained: it is the
-//! unit of copy-on-write and of sharding. Messages and stored routes
+//! Adj-RIB-In cell for that prefix, which also indexes the router's best
+//! route (a flat array indexed by router), the routers that originate
+//! it, its Adj-RIB-Out bits per session endpoint and its own
+//! [`PathPool`]. Routing toward one prefix never reads another prefix's
+//! state, and every non-empty AS path ends in its prefix's origin AS, so
+//! a column is self-contained: it is the unit of copy-on-write and of
+//! sharding. Messages and stored routes
 //! carry a `u32` path id into their column's pool, and per-session
 //! policy inputs (AS membership, business relationship) are precomputed
 //! once, so the message loop performs no topology lookups and no
@@ -36,7 +37,7 @@ use netdiag_obs::{names, RecorderHandle};
 use netdiag_topology::{AsId, LinkId, LinkKind, PeerKind, Prefix, RouterId, Topology};
 
 use crate::policy::{ExportDeny, ExportFilters};
-use crate::route::{local_pref_for, AsPath, Route, RouteSource, LOCAL_PREF_ORIGINATED};
+use crate::route::{local_pref_for, AsPath, Exit, Route, RouteSource, LOCAL_PREF_ORIGINATED};
 use crate::session::{Session, SessionId, SessionKind, SessionTable};
 
 /// Read-only routing context threaded through engine operations.
@@ -137,12 +138,11 @@ impl PathPool {
     }
 }
 
-/// A route as stored in the flat RIBs: 12 bytes, every other attribute
-/// derivable (the exit link = the eBGP session's link; the local
-/// preference = [`pref_of`] the source; the `learned_from` peer = the
-/// session's other endpoint; the egress = [`StoredRoute::egress`]; the
-/// prefix = the pid of the slot it occupies). The `bool` leaves a niche,
-/// so `Option<StoredRoute>` is 12 bytes too.
+/// A route as stored in an Adj-RIB-In cell: 12 bytes, every other
+/// attribute derivable (the exit link = the eBGP session's link; the
+/// local preference = [`pref_of`] the source; the `learned_from` peer =
+/// the session's other endpoint; the egress = [`StoredRoute::egress`];
+/// the prefix = the pid of the column it sits in).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct StoredRoute {
     /// Interned AS path ([`PathPool`] id).
@@ -186,19 +186,34 @@ impl StoredRoute {
 
 /// Sentinel for "never overflowed" in [`AdjCell::spill`].
 const NO_SPILL: u32 = u32::MAX;
+/// [`AdjCell::best`] sentinel: the router has no route for the prefix.
+const BEST_NONE: u16 = u16::MAX;
+/// [`AdjCell::best`] sentinel: the router originates the prefix
+/// ([`StoredRoute::ORIGINATED`]). Every slot index is below it, which
+/// [`assert_slots_indexable`] guarantees at construction.
+const BEST_ORIGINATED: u16 = u16::MAX - 1;
 
-/// Routes received for one prefix at one router, keyed by session.
+/// Routes received for one prefix at one router, keyed by session, and
+/// the router's Loc-RIB entry for the prefix.
 ///
 /// Valley-free exports mean a router hears a given prefix from only a
 /// handful of neighbors, so two slots live inline and the rare overflow
 /// (well under 0.1% of the cells of a generated internet) goes to a list
 /// in its column's spill arena, [`Column::spill`]: the common path
-/// allocates nothing and the cell stays 32 bytes. The cell's routes are
-/// read and written through the [`Column`], which owns the arena.
+/// allocates nothing and the cell stays 32 bytes. The best route is
+/// always one of the cell's own routes or the originated one, so the
+/// Loc-RIB is not a copy but an index, `best`, into the order
+/// [`Column::adj_iter`] yields. The cell's routes are read and written
+/// through the [`Column`], which owns the arena.
 #[derive(Clone, Copy, Debug)]
 struct AdjCell {
     /// Routes held, inline and spilled.
-    len: u32,
+    len: u16,
+    /// The Loc-RIB entry: the slot of the best route, [`BEST_NONE`] or
+    /// [`BEST_ORIGINATED`]. Between a change to the cell's routes and
+    /// the [`Bgp::decide`] that follows it the slot may be stale: a
+    /// removal shifts the slots after it.
+    best: u16,
     /// Index of the cell's overflow list in [`Column::spill`]
     /// ([`NO_SPILL`] until the cell first overflows; kept, possibly
     /// empty, afterwards). The list is non-empty exactly when
@@ -211,6 +226,7 @@ impl Default for AdjCell {
     fn default() -> Self {
         AdjCell {
             len: 0,
+            best: BEST_NONE,
             spill: NO_SPILL,
             inline: [StoredRoute::ORIGINATED; AdjCell::INLINE],
         }
@@ -328,10 +344,10 @@ impl Msg {
     }
 }
 
-// The layouts the RIB and queue memory budget rests on.
+// The layouts the RIB and queue memory budget rests on: a cell, with
+// its Loc-RIB entry, is the whole per router × prefix cost.
 const _: () = {
     assert!(std::mem::size_of::<StoredRoute>() == 12);
-    assert!(std::mem::size_of::<Option<StoredRoute>>() == 12);
     assert!(std::mem::size_of::<AdjCell>() == 32);
     assert!(std::mem::size_of::<Msg>() == 20);
 };
@@ -364,23 +380,22 @@ pub struct ObservedMsg {
 /// One prefix's BGP state at every router: the unit of copy-on-write
 /// and of sharding.
 ///
-/// `adj_in` and `loc_rib` are flat arrays indexed by router, so a prefix's
-/// convergence walks one contiguous column and allocates nothing per
-/// message: 44 bytes per router. The Adj-RIB-Out is one bit per session
-/// endpoint (see [`out_bit`]). Every path a column's routes carry ends in
-/// the prefix's origin AS, so its [`PathPool`] is its own and no path id
-/// crosses columns. The whole struct sits behind an `Arc` for
-/// copy-on-write engine clones.
+/// `adj_in` is a flat array indexed by router whose cells also hold each
+/// router's Loc-RIB entry, so a prefix's convergence walks one contiguous
+/// column and allocates nothing per message: 32 bytes per router. The
+/// Adj-RIB-Out is one bit per session endpoint (see [`out_bit`]). Every
+/// path a column's routes carry ends in the prefix's origin AS, so its
+/// [`PathPool`] is its own and no path id crosses columns. The whole
+/// struct sits behind an `Arc` for copy-on-write engine clones.
 #[derive(Clone, Debug)]
 struct Column {
-    /// Routes received per router (by router index), per session; read
-    /// and written through the `adj_*` methods.
+    /// Routes received per router (by router index), per session, and
+    /// the router's best route; read and written through the `adj_*`
+    /// methods and [`Column::best`].
     adj_in: Vec<AdjCell>,
     /// Overflow lists of the `adj_in` cells holding more than
     /// [`AdjCell::INLINE`] routes, indexed by [`AdjCell::spill`].
     spill: Vec<Vec<StoredRoute>>,
-    /// Best route per router (by router index).
-    loc_rib: Vec<Option<StoredRoute>>,
     /// Routers originating the prefix.
     originated: Vec<RouterId>,
     /// Session endpoints currently advertising the prefix.
@@ -394,7 +409,6 @@ impl Column {
         Column {
             adj_in: vec![AdjCell::default(); routers],
             spill: Vec::new(),
-            loc_rib: vec![None; routers],
             originated: Vec::new(),
             adj_out: Bits::default(),
             paths: PathPool::new(),
@@ -411,6 +425,25 @@ impl Column {
             &[]
         };
         cell.inline[..cell.inline_len()].iter().chain(spilled)
+    }
+
+    /// Router `r`'s Loc-RIB entry: its best route for the prefix. Not
+    /// to be read between a change to `r`'s routes and the decision
+    /// that follows it (see [`AdjCell::best`]).
+    fn best(&self, r: RouterId) -> Option<StoredRoute> {
+        let cell = &self.adj_in[r.index()];
+        match cell.best {
+            BEST_NONE => None,
+            BEST_ORIGINATED => Some(StoredRoute::ORIGINATED),
+            slot => {
+                let slot = usize::from(slot);
+                debug_assert!(slot < usize::from(cell.len), "stale Loc-RIB slot");
+                Some(match slot.checked_sub(AdjCell::INLINE) {
+                    None => cell.inline[slot],
+                    Some(i) => self.spill[cell.spill as usize][i],
+                })
+            }
+        }
     }
 
     /// The route router `r` received on `session`, if any.
@@ -451,8 +484,10 @@ impl Column {
     /// Removes the route router `r` received on `session`; false when
     /// absent. Removing an inline route shifts the inline tail left and
     /// refills the freed slot from the head of the overflow list, so the
-    /// order [`Column::adj_iter`] yields (and with it the order of tied
-    /// routes) is the remaining routes' arrival order.
+    /// order [`Column::adj_iter`] yields is the remaining routes' arrival
+    /// order. The decision does not depend on that order: its key ends in
+    /// the session, and a cell's sessions are distinct, so no two routes
+    /// tie.
     fn adj_remove(&mut self, r: RouterId, session: u32) -> bool {
         let cell = &mut self.adj_in[r.index()];
         let il = cell.inline_len();
@@ -477,6 +512,18 @@ impl Column {
             }
         }
         false
+    }
+}
+
+/// Panics unless every one of the `routers` has fewer than `bound`
+/// sessions, so that every slot of its cells is below `bound`.
+fn assert_slots_indexable(sessions: &SessionTable, routers: usize, bound: u16) {
+    for r in 0..routers {
+        let n = sessions.of_router(RouterId(r as u32)).len();
+        assert!(
+            n < usize::from(bound),
+            "router {r} has {n} BGP sessions; a RIB cell indexes fewer than {bound}"
+        );
     }
 }
 
@@ -561,6 +608,11 @@ impl Bgp {
     /// answers `None` for them and a filter on them queues nothing.
     pub fn with_origins(topology: &Topology, origins: &[AsId]) -> Self {
         let sessions = Arc::new(SessionTable::build(topology));
+        // A cell holds at most one route per session of its router, and
+        // its Loc-RIB slot is a `u16` below the sentinels. The busiest
+        // router of a generated internet (seed 1) has 102 sessions at 1k
+        // ASes, 741 at 10k and 3,616 at 60k, far below the bound.
+        assert_slots_indexable(&sessions, topology.router_count(), BEST_ORIGINATED);
         let mut prefixes: Vec<Prefix> = origins
             .iter()
             .map(|&a| topology.as_node(a).prefix)
@@ -774,7 +826,8 @@ impl Bgp {
             if !col.originated.contains(&r) {
                 col.originated.push(r);
             }
-            if self.decide(ctx, r, pid) {
+            let old = self.col(pid).best(r);
+            if self.decide(ctx, r, pid, old) {
                 self.propagate(ctx, r, pid);
             }
         }
@@ -947,8 +1000,22 @@ impl Bgp {
         self.flush_counters(messages)
     }
 
-    /// Materializes a stored route into the public [`Route`] shape.
-    fn materialize(&self, r: RouterId, pid: Pid, sr: StoredRoute) -> Route {
+    /// The session a route stored at `r` was learned on and its peer, the
+    /// session's other endpoint (`None` for an originated route).
+    fn learned_from(&self, r: RouterId, sr: StoredRoute) -> Option<(SessionId, RouterId)> {
+        (sr.session != NO_SESSION).then(|| {
+            let sid = SessionId(sr.session);
+            let peer = self
+                .sessions
+                .get(sid)
+                .other(r)
+                .expect("a stored session has the owning router as an endpoint");
+            (sid, peer)
+        })
+    }
+
+    /// Where traffic on a route stored at `r` leaves `r`'s AS.
+    fn exit(&self, r: RouterId, sr: StoredRoute) -> Exit {
         // An eBGP-learned route exits on the link its session rides.
         let ebgp_link = if sr.ebgp {
             match self.sessions.get(SessionId(sr.session)).kind {
@@ -958,23 +1025,24 @@ impl Bgp {
         } else {
             None
         };
-        let learned_from = (sr.session != NO_SESSION).then(|| {
-            let sid = SessionId(sr.session);
-            let peer = self
-                .sessions
-                .get(sid)
-                .other(r)
-                .expect("a stored session has the owning router as an endpoint");
-            (sid, peer)
-        });
+        let peer = self.learned_from(r, sr).map(|(_, peer)| peer);
+        Exit {
+            egress: sr.egress(r, peer),
+            ebgp_link,
+        }
+    }
+
+    /// Materializes a stored route into the public [`Route`] shape.
+    fn materialize(&self, r: RouterId, pid: Pid, sr: StoredRoute) -> Route {
+        let Exit { egress, ebgp_link } = self.exit(r, sr);
         Route {
             prefix: self.prefixes[pid as usize],
             as_path: self.col(pid).paths.get(sr.path),
-            egress: sr.egress(r, learned_from.map(|(_, peer)| peer)),
+            egress,
             ebgp_link,
             local_pref: pref_of(sr.source),
             source: sr.source,
-            learned_from,
+            learned_from: self.learned_from(r, sr),
             ebgp_learned: sr.ebgp,
         }
     }
@@ -982,17 +1050,17 @@ impl Bgp {
     /// The best route of `r` for exactly `prefix`.
     pub fn best_route(&self, r: RouterId, prefix: &Prefix) -> Option<Route> {
         let pid = self.pid_of(prefix)?;
-        self.col(pid).loc_rib[r.index()].map(|sr| self.materialize(r, pid, sr))
+        self.col(pid).best(r).map(|sr| self.materialize(r, pid, sr))
     }
 
-    /// Longest-prefix-match lookup in `r`'s Loc-RIB.
-    pub fn lookup(&self, r: RouterId, dst: Ipv4Addr) -> Option<Route> {
+    /// The longest-prefix match for `dst` in `r`'s Loc-RIB, unmaterialized.
+    fn longest_match(&self, r: RouterId, dst: Ipv4Addr) -> Option<(Pid, StoredRoute)> {
         let mut best: Option<(Pid, StoredRoute)> = None;
         for (i, p) in self.prefixes.iter().enumerate() {
             if !p.contains(dst) {
                 continue;
             }
-            let Some(sr) = self.columns[i].loc_rib[r.index()] else {
+            let Some(sr) = self.columns[i].best(r) else {
                 continue;
             };
             // Distinct prefixes of equal length cannot both contain `dst`,
@@ -1002,14 +1070,27 @@ impl Bgp {
                 best = Some((i as u32, sr));
             }
         }
-        best.map(|(pid, sr)| self.materialize(r, pid, sr))
+        best
+    }
+
+    /// Longest-prefix-match lookup in `r`'s Loc-RIB.
+    pub fn lookup(&self, r: RouterId, dst: Ipv4Addr) -> Option<Route> {
+        self.longest_match(r, dst)
+            .map(|(pid, sr)| self.materialize(r, pid, sr))
+    }
+
+    /// The exit of [`Bgp::lookup`]'s route, without materializing its AS
+    /// path: all that forwarding a packet reads.
+    pub fn lookup_exit(&self, r: RouterId, dst: Ipv4Addr) -> Option<Exit> {
+        self.longest_match(r, dst).map(|(_, sr)| self.exit(r, sr))
     }
 
     /// Iterates over `r`'s Loc-RIB (prefix-ordered), materializing each
     /// route on demand.
     pub fn loc_rib(&self, r: RouterId) -> impl Iterator<Item = (Prefix, Route)> + '_ {
         self.columns.iter().enumerate().filter_map(move |(i, col)| {
-            col.loc_rib[r.index()].map(|sr| (self.prefixes[i], self.materialize(r, i as u32, sr)))
+            col.best(r)
+                .map(|sr| (self.prefixes[i], self.materialize(r, i as u32, sr)))
         })
     }
 
@@ -1081,13 +1162,14 @@ impl Bgp {
     fn replay_router(&mut self, ctx: Ctx<'_>, r: RouterId, count_scoped: bool) {
         for pid in 0..self.columns.len() as Pid {
             let col = self.col(pid);
-            if col.adj_in[r.index()].is_empty() && col.loc_rib[r.index()].is_none() {
+            let old = col.best(r);
+            if col.adj_in[r.index()].is_empty() && old.is_none() {
                 continue;
             }
             if count_scoped {
                 self.replay_prefixes += 1;
             }
-            if self.decide(ctx, r, pid) {
+            if self.decide(ctx, r, pid, old) {
                 self.propagate(ctx, r, pid);
             }
         }
@@ -1163,7 +1245,7 @@ impl Bgp {
     /// routes (sends updates over sessions that missed them).
     fn readvertise_all(&mut self, ctx: Ctx<'_>, r: RouterId) {
         for pid in 0..self.columns.len() as Pid {
-            if self.col(pid).loc_rib[r.index()].is_some() {
+            if self.col(pid).best(r).is_some() {
                 self.propagate(ctx, r, pid);
             }
         }
@@ -1209,7 +1291,9 @@ impl Bgp {
         // them because the session is down.
         for r in [s.a, s.b] {
             let bit = out_bit(&s, r);
-            let mut affected: Vec<Pid> = Vec::new();
+            // Each affected pid with `r`'s best route from before the
+            // removal, which may shift the cell's slots.
+            let mut affected: Vec<(Pid, Option<StoredRoute>)> = Vec::new();
             for pid in 0..self.columns.len() as Pid {
                 let col = self.col(pid);
                 let learned = col.adj_get(r, sid.0).is_some();
@@ -1218,16 +1302,17 @@ impl Bgp {
                 if !learned && !col.adj_out.contains(bit) {
                     continue;
                 }
+                let old = col.best(r);
                 let col = self.col_mut(pid);
                 col.adj_out.set(bit, false);
                 if learned {
                     col.adj_remove(r, sid.0);
-                    affected.push(pid);
+                    affected.push((pid, old));
                 }
             }
             self.replay_prefixes += affected.len() as u64;
-            for pid in affected {
-                if self.decide(ctx, r, pid) {
+            for (pid, old) in affected {
+                if self.decide(ctx, r, pid, old) {
                     self.propagate(ctx, r, pid);
                 }
             }
@@ -1278,6 +1363,9 @@ impl Bgp {
             });
         }
 
+        // The best route before the cell changes: an update in place or a
+        // removal can overwrite or shift its slot.
+        let old = self.col(pid).best(to);
         match msg.payload {
             Payload::Update(rm) => match self.import(to, session, meta, rm) {
                 Some(sr) => self.col_mut(pid).adj_upsert(to, sr),
@@ -1289,7 +1377,7 @@ impl Bgp {
             },
             Payload::Withdraw(_) => self.remove_adj_in(to, pid, session),
         }
-        if self.decide(ctx, to, pid) {
+        if self.decide(ctx, to, pid, old) {
             self.propagate(ctx, to, pid);
         }
     }
@@ -1341,13 +1429,15 @@ impl Bgp {
     }
 
     /// Recomputes the best route of `r` for `pid`. Returns true when the
-    /// Loc-RIB entry changed.
+    /// Loc-RIB entry differs from `old`, the entry before the caller
+    /// changed `r`'s routes (a caller that changed none passes
+    /// [`Column::best`]).
     // hot
-    fn decide(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) -> bool {
+    fn decide(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid, old: Option<StoredRoute>) -> bool {
         self.decisions += 1;
         let col = self.col(pid);
-        let best: Option<StoredRoute> = if col.originated.contains(&r) {
-            Some(StoredRoute::ORIGINATED)
+        let (slot, best) = if col.originated.contains(&r) {
+            (BEST_ORIGINATED, Some(StoredRoute::ORIGINATED))
         } else {
             let as_igp = ctx.igp.of(ctx.topology.as_of_router(r));
             // An eBGP route exits here; an iBGP one at its sender, the
@@ -1358,12 +1448,14 @@ impl Bgp {
                     .other(r)
                     .expect("a stored session has the owning router as an endpoint")
             };
-            col.adj_iter(r)
-                .filter(|sr| {
+            let best = col
+                .adj_iter(r)
+                .enumerate()
+                .filter(|(_, sr)| {
                     self.sess_up(ctx, SessionId(sr.session))
                         && (sr.ebgp || as_igp.reachable(r, neighbor(sr)))
                 })
-                .max_by_key(|sr| {
+                .max_by_key(|(_, sr)| {
                     let n = neighbor(sr);
                     let igp_dist = if sr.ebgp {
                         0
@@ -1378,26 +1470,32 @@ impl Bgp {
                         std::cmp::Reverse(n.0),
                         std::cmp::Reverse(sr.session),
                     )
-                })
-                .copied()
+                });
+            match best {
+                // Below `BEST_ORIGINATED`, as `assert_slots_indexable`
+                // checked at construction.
+                Some((i, sr)) => (i as u16, Some(*sr)),
+                None => (BEST_NONE, None),
+            }
         };
 
-        // Only take write access when the entry actually changes, so a
+        // Only take write access when the slot actually moves, so a
         // no-op re-decision (the common case in `refresh_as` and in
         // withdraw storms that leave the best route alone) keeps the
-        // column shared.
-        if col.loc_rib[r.index()] == best {
-            return false;
+        // column shared. The slot and the route change apart: a removal
+        // before the best route shifts its slot, and an update on its
+        // session replaces it in place.
+        if col.adj_in[r.index()].best != slot {
+            self.col_mut(pid).adj_in[r.index()].best = slot;
         }
-        self.col_mut(pid).loc_rib[r.index()] = best;
-        true
+        old != best
     }
 
     /// Synchronizes every session's Adj-RIB-Out with the current best route
     /// of `r` for `pid`, queueing updates/withdraws.
     // hot
     fn propagate(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) {
-        let best: Option<StoredRoute> = self.col(pid).loc_rib[r.index()];
+        let best: Option<StoredRoute> = self.col(pid).best(r);
         let sessions = Arc::clone(&self.sessions);
         // The eBGP prepend is identical for every peer of `r`; intern it
         // once, lazily, per propagate.
@@ -1515,10 +1613,312 @@ fn session_kind_str(kind: SessionKind) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netdiag_topology::{AsKind, TopologyBuilder};
+    use netdiag_topology::{AsKind, LinkRelationship, TopologyBuilder};
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+
+    /// One step of [`ShadowRib`]: at center router `r`, about its link to
+    /// neighbor `n`.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// An update with this AS path (indices into [`ShadowRib::ases`]).
+        Update {
+            r: usize,
+            n: usize,
+            path: Vec<usize>,
+        },
+        Withdraw {
+            r: usize,
+            n: usize,
+        },
+        /// A flush of the session, as on its link's failure.
+        Flush {
+            r: usize,
+            n: usize,
+        },
+        /// A re-decision that changes nothing first.
+        Redecide {
+            r: usize,
+        },
+        /// Center 0 originates the prefix.
+        Originate,
+    }
+
+    /// A [`Bgp`] of one prefix (center 0's) beside a shadow that stores
+    /// the Adj-RIB-In as a plain list per router and the Loc-RIB as a
+    /// `Vec<Option<StoredRoute>>`, as the RIB did before the Loc-RIB
+    /// moved into the cells.
+    ///
+    /// Three single-router center ASes each have eBGP sessions to four
+    /// neighbor ASes (a customer, a peer and two providers) and to a
+    /// silent customer of their own. Only the centers receive messages,
+    /// every route is exportable to a silent customer, and no path holds
+    /// one, so a center queues a message exactly when its decision
+    /// reports a change: the queue shows each change flag, including the
+    /// one `deliver` acts on.
+    struct ShadowRib {
+        topology: Topology,
+        links: LinkState,
+        igp: Igp,
+        bgp: Bgp,
+        centers: [RouterId; 3],
+        /// Session of each center to each neighbor.
+        sessions: [[SessionId; 4]; 3],
+        /// The ASes update paths are drawn from: the centers', the
+        /// neighbors' and two outside the topology.
+        ases: Vec<AsId>,
+        adj: Vec<Vec<StoredRoute>>,
+        loc: Vec<Option<StoredRoute>>,
+        /// Center 0 originates the prefix.
+        originated: bool,
+    }
+
+    impl ShadowRib {
+        fn new() -> Self {
+            let mut b = TopologyBuilder::new();
+            let centers: Vec<RouterId> = (0..3)
+                .map(|i| {
+                    let a = b.add_as(AsKind::Tier2, format!("C{i}"));
+                    b.add_router(a, format!("c{i}"))
+                })
+                .collect();
+            let neighbors: Vec<RouterId> = (0..4)
+                .map(|j| {
+                    let a = b.add_as(AsKind::Tier2, format!("N{j}"));
+                    b.add_router(a, format!("n{j}"))
+                })
+                .collect();
+            for (i, &c) in centers.iter().enumerate() {
+                for (j, &n) in neighbors.iter().enumerate() {
+                    match j {
+                        0 => b.add_inter_link(c, n, LinkRelationship::ProviderCustomer),
+                        1 => b.add_inter_link(c, n, LinkRelationship::PeerPeer),
+                        _ => b.add_inter_link(n, c, LinkRelationship::ProviderCustomer),
+                    };
+                }
+                let silent = b.add_as(AsKind::Stub, format!("S{i}"));
+                let s = b.add_router(silent, format!("s{i}"));
+                b.add_inter_link(c, s, LinkRelationship::ProviderCustomer);
+            }
+            let topology = b.build().unwrap();
+            let links = LinkState::all_up(&topology);
+            let igp = Igp::compute(&topology, &links);
+            let bgp = Bgp::with_origins(&topology, &[AsId(0)]);
+            let sessions = std::array::from_fn(|i| {
+                std::array::from_fn(|j| {
+                    let link = topology.link_between(centers[i], neighbors[j]).unwrap();
+                    bgp.sessions.ebgp_on_link(link).unwrap()
+                })
+            });
+            let mut ases: Vec<AsId> = (0..7).map(AsId).collect();
+            ases.extend([AsId(100), AsId(101)]);
+            ShadowRib {
+                topology,
+                links,
+                igp,
+                bgp,
+                centers: [centers[0], centers[1], centers[2]],
+                sessions,
+                ases,
+                adj: vec![Vec::new(); 3],
+                loc: vec![None; 3],
+                originated: false,
+            }
+        }
+
+        /// The parent's decision over the shadow list: every session is an
+        /// up eBGP one, so the key reduces to preference, path length,
+        /// neighbor and session.
+        fn shadow_decide(&self, r: usize) -> Option<StoredRoute> {
+            if r == 0 && self.originated {
+                return Some(StoredRoute::ORIGINATED);
+            }
+            let center = self.centers[r];
+            self.adj[r]
+                .iter()
+                .max_by_key(|sr| {
+                    let peer = self.bgp.sessions.get(SessionId(sr.session)).other(center);
+                    (
+                        pref_of(sr.source),
+                        Reverse(sr.path_len),
+                        Reverse(peer.unwrap().0),
+                        Reverse(sr.session),
+                    )
+                })
+                .copied()
+        }
+
+        /// Applies `op` to the engine and the shadow; fails when the
+        /// engine's routes, Loc-RIB or change flag part from the shadow's.
+        fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
+            let r = match *op {
+                Op::Update { r, .. }
+                | Op::Withdraw { r, .. }
+                | Op::Flush { r, .. }
+                | Op::Redecide { r } => r,
+                Op::Originate => 0,
+            };
+            let center = self.centers[r];
+            let ctx = Ctx {
+                topology: &self.topology,
+                igp: &self.igp,
+                links: &self.links,
+            };
+            let drop_session = |adj: &mut Vec<StoredRoute>, sid: SessionId| {
+                adj.retain(|e| e.session != sid.0);
+            };
+            match op {
+                &Op::Update { n, ref path, .. } => {
+                    let sid = self.sessions[r][n];
+                    let mut id = PATH_EMPTY;
+                    for &a in path.iter().rev() {
+                        id = self.bgp.intern_path(0, self.ases[a], id);
+                    }
+                    let msg = Msg {
+                        session: sid,
+                        to: center,
+                        payload: Payload::Update(RouteMsg {
+                            pid: 0,
+                            path: id,
+                            path_len: path.len() as u8,
+                            source: RouteSource::Originated,
+                        }),
+                    };
+                    self.bgp.deliver(ctx, msg);
+                    if path.iter().any(|&a| self.ases[a] == AsId(r as u32)) {
+                        drop_session(&mut self.adj[r], sid);
+                    } else {
+                        let rel = self
+                            .topology
+                            .relationship(AsId(r as u32), AsId(3 + n as u32));
+                        let sr = StoredRoute {
+                            path: id,
+                            session: sid.0,
+                            path_len: path.len() as u8,
+                            source: RouteSource::External(rel.unwrap()),
+                            ebgp: true,
+                        };
+                        match self.adj[r].iter().position(|e| e.session == sid.0) {
+                            Some(i) => self.adj[r][i] = sr,
+                            None => self.adj[r].push(sr),
+                        }
+                    }
+                }
+                &Op::Withdraw { n, .. } => {
+                    let sid = self.sessions[r][n];
+                    let payload = Payload::Withdraw(0);
+                    self.bgp.deliver(
+                        ctx,
+                        Msg {
+                            session: sid,
+                            to: center,
+                            payload,
+                        },
+                    );
+                    drop_session(&mut self.adj[r], sid);
+                }
+                &Op::Flush { n, .. } => {
+                    let sid = self.sessions[r][n];
+                    self.bgp.flush_session(ctx, sid);
+                    drop_session(&mut self.adj[r], sid);
+                }
+                Op::Redecide { .. } => self.bgp.replay_router(ctx, center, false),
+                Op::Originate => {
+                    self.bgp.originate_as(ctx, AsId(0));
+                    self.originated = true;
+                }
+            }
+            let old = self.loc[r];
+            let new = self.shadow_decide(r);
+            self.loc[r] = new;
+            let changed = !self.bgp.queue.is_empty();
+            self.bgp.queue.clear();
+            prop_assert_eq!(changed, old != new, "change flag after {:?}", op);
+            for (i, &c) in self.centers.iter().enumerate() {
+                let col = self.bgp.col(0);
+                let got: Vec<StoredRoute> = col.adj_iter(c).copied().collect();
+                prop_assert_eq!(&got, &self.adj[i], "routes of center {} after {:?}", i, op);
+                prop_assert_eq!(
+                    col.best(c),
+                    self.loc[i],
+                    "Loc-RIB of center {} after {:?}",
+                    i,
+                    op
+                );
+            }
+            Ok(())
+        }
+    }
+
+    /// Updates half the time, then withdrawals, flushes, re-decisions
+    /// and, rarely, the origination.
+    fn op() -> impl Strategy<Value = Op> {
+        let path = proptest::collection::vec(0..9usize, 0..4);
+        (0..12u32, 0..3usize, 0..4usize, path).prop_map(|(kind, r, n, path)| match kind {
+            0..=5 => Op::Update { r, n, path },
+            6..=8 => Op::Withdraw { r, n },
+            9 => Op::Flush { r, n },
+            10 => Op::Redecide { r },
+            _ => Op::Originate,
+        })
+    }
+
+    /// The two edits that separate the best route from its slot, in
+    /// order: a route replaced in place in the best slot, and a removal
+    /// before the best slot that shifts it.
+    #[test]
+    fn best_slot_survives_in_place_replacement_and_shifts() {
+        let mut rib = ShadowRib::new();
+        let up = |n: usize, path: Vec<usize>| Op::Update { r: 1, n, path };
+        for op in [
+            up(3, vec![6]),
+            up(2, vec![5, 6]),
+            // Best is slot 0 (n3, the shorter provider path); replace it
+            // in place with a longer one, so n2 takes over.
+            up(3, vec![7, 8, 6]),
+            // Best is slot 1 (n2); remove slot 0, shifting it to 0.
+            Op::Withdraw { r: 1, n: 3 },
+            // Best in slot 0 again; replace it in place, still best.
+            up(2, vec![7]),
+            up(0, vec![5, 7, 8]),
+            Op::Flush { r: 1, n: 2 },
+            Op::Redecide { r: 1 },
+        ] {
+            rib.apply(&op).unwrap();
+        }
+    }
+
+    /// A router with as many sessions as the bound fails construction's
+    /// check; one fewer passes.
+    #[test]
+    fn slot_bound_check_counts_each_routers_sessions() {
+        let rib = ShadowRib::new();
+        let busiest = (0..rib.topology.router_count())
+            .map(|r| rib.bgp.sessions.of_router(RouterId(r as u32)).len())
+            .max()
+            .unwrap();
+        assert_eq!(busiest, 5);
+        let routers = rib.topology.router_count();
+        assert_slots_indexable(&rib.bgp.sessions, routers, 6);
+        let refused = std::panic::catch_unwind(|| {
+            assert_slots_indexable(&rib.bgp.sessions, routers, 5);
+        });
+        assert!(refused.is_err());
+    }
 
     proptest! {
+        /// Random updates, withdrawals, flushes, re-decisions and an
+        /// origination keep every center's Loc-RIB slot on the route a
+        /// stored Loc-RIB holds, and every change flag equal to "the old
+        /// best route differs from the new one".
+        #[test]
+        fn loc_rib_slots_match_a_stored_loc_rib(ops in proptest::collection::vec(op(), 1..200)) {
+            let mut rib = ShadowRib::new();
+            for op in &ops {
+                rib.apply(op)?;
+            }
+        }
+
         /// Cons-keyed interning assigns the ids, and materializes the
         /// paths, a pool keyed by the full `AsPath` would: each op
         /// prepends a head AS to an already-interned tail, and heads come

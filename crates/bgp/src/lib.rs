@@ -33,5 +33,5 @@ mod session;
 
 pub use engine::{Bgp, Ctx, ObservedKind, ObservedMsg, RunStats};
 pub use policy::{ExportDeny, ExportFilters};
-pub use route::{local_pref_for, AsPath, Route, RouteSource, LOCAL_PREF_ORIGINATED};
+pub use route::{local_pref_for, AsPath, Exit, Route, RouteSource, LOCAL_PREF_ORIGINATED};
 pub use session::{Session, SessionId, SessionKind, SessionTable};

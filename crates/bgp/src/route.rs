@@ -160,6 +160,16 @@ pub struct Route {
     pub ebgp_learned: bool,
 }
 
+/// Where traffic on a route leaves the local AS: the part of a [`Route`]
+/// that forwarding reads (see [`crate::Bgp::lookup_exit`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Exit {
+    /// As [`Route::egress`].
+    pub egress: RouterId,
+    /// As [`Route::ebgp_link`].
+    pub ebgp_link: Option<LinkId>,
+}
+
 impl Route {
     /// Creates a locally-originated route at border router `at`.
     pub fn originated(prefix: Prefix, at: RouterId) -> Self {

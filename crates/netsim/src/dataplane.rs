@@ -114,22 +114,19 @@ impl Sim {
                     .of(my_as)
                     .next_hops(topology, self.links(), current, t)
             }
-            _ => match self.bgp().lookup(current, dst) {
+            _ => match self.bgp().lookup_exit(current, dst) {
                 None => Vec::new(),
-                Some(route) => {
-                    if let Some(link) = route.ebgp_link {
+                Some(exit) => {
+                    if let Some(link) = exit.ebgp_link {
                         if self.links().is_up(link) {
                             vec![topology.link(link).other(current)]
                         } else {
                             Vec::new()
                         }
                     } else {
-                        self.igp().of(my_as).next_hops(
-                            topology,
-                            self.links(),
-                            current,
-                            route.egress,
-                        )
+                        self.igp()
+                            .of(my_as)
+                            .next_hops(topology, self.links(), current, exit.egress)
                     }
                 }
             },
@@ -260,7 +257,7 @@ impl Sim {
             let my_as = topology.as_of_router(router);
             let goal = match target {
                 Some(t) if topology.as_of_router(t) == my_as => Some(t),
-                _ => self.bgp().lookup(router, dst).map(|r| r.egress),
+                _ => self.bgp().lookup_exit(router, dst).map(|e| e.egress),
             };
             goal.and_then(|g| self.igp().of(my_as).next_hop(router, g))
                 .filter(|nh| candidates.contains(nh))
