@@ -12,10 +12,6 @@
 //! `sample_size` timed samples, and prints min/median/mean wall-clock per
 //! iteration — enough to eyeball regressions and to keep `cargo bench`
 //! compiling and running offline.
-//!
-//! `CRITERION_JSON=<path>` additionally appends one JSON line per
-//! benchmark (`{"id", "samples", "min_ns", "median_ns", "mean_ns"}`) to
-//! `<path>`; `scripts/bench.sh` reads its budget ratios from there.
 
 #![forbid(unsafe_code)]
 // A benchmark harness reports to stdout; that is its interface.
@@ -138,24 +134,6 @@ impl BenchmarkGroup<'_> {
             format_time(median),
             format_time(mean),
         );
-        if let Some(path) = std::env::var_os("CRITERION_JSON") {
-            use std::io::Write as _;
-            if let Ok(mut out) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-            {
-                let _ = writeln!(
-                    out,
-                    "{{\"id\":\"{}\",\"samples\":{},\"min_ns\":{:.0},\"median_ns\":{:.0},\"mean_ns\":{:.0}}}",
-                    full_id,
-                    per_iter.len(),
-                    min * 1e9,
-                    median * 1e9,
-                    mean * 1e9,
-                );
-            }
-        }
         self
     }
 

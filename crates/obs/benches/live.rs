@@ -4,18 +4,22 @@
 //! * `noop` / `live` — the serve request mix (a counter bump, a
 //!   histogram observation, a span record and a gauge raise/lower)
 //!   through the disabled handle vs the live one;
-//! * `dispatch` / `bump` — the budgeted pair: one counter bump through
+//! * `bump_vs_dispatch` — the budgeted pair: one counter bump through
 //!   `Arc<dyn Recorder>` into the live registry vs the same virtual
-//!   dispatch into a `NoopRecorder`. `scripts/bench.sh` holds
-//!   `bump` within 2x of `dispatch`.
+//!   dispatch into a `NoopRecorder`, timed in alternating samples and
+//!   reported as the median of the per-pair ratios. `scripts/bench.sh`
+//!   reads that median from the printed line and holds it within 2x.
 //!
 //! Run: `cargo bench -p netdiag-obs --bench live`.
 
+// A benchmark reports to stdout; that is its interface.
+#![allow(clippy::print_stdout)]
+
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use netdiag_obs::{names, NoopRecorder, Recorder, RecorderHandle};
+use netdiag_obs::{names, LiveRecorder, NoopRecorder, Recorder, RecorderHandle};
 
 fn bench_live_metrics_overhead(c: &mut Criterion) {
     let noop = RecorderHandle::noop();
@@ -39,26 +43,78 @@ fn bench_live_metrics_overhead(c: &mut Criterion) {
             })
         });
     }
-    // The budgeted pair: an actual NoopRecorder virtual dispatch (not
-    // the enabled-gated short circuit, which compiles to one flag load)
-    // vs a LiveRecorder counter bump through the same plumbing.
-    let noop_sink: Arc<dyn Recorder> = Arc::new(NoopRecorder);
-    group.bench_function("dispatch", |b| {
-        b.iter(|| {
-            for _ in 0..64u64 {
-                black_box(&noop_sink).add(names::SERVE_REQUESTS, black_box(1));
-            }
-        })
-    });
-    let live_sink: Arc<dyn Recorder> = registry.clone();
-    group.bench_function("bump", |b| {
-        b.iter(|| {
-            for _ in 0..64u64 {
-                black_box(&live_sink).add(names::SERVE_REQUESTS, black_box(1));
-            }
-        })
-    });
     group.finish();
+    bump_vs_dispatch(&registry);
+}
+
+/// Timed pairs in the budgeted comparison (odd, so the median is one
+/// pair), about 3 s of sampling. On a shared 2-vCPU host the per-pair
+/// ratios spread with an interquartile range near 0.25, so a few
+/// hundred pairs pin the median of one host state within ±5%; but the
+/// host moves every few seconds between a fast state (ratio about 1.6)
+/// and a slow one (1.85-2.2), and 3 s of pairs span several states
+/// where 0.3 s sits in one.
+const PAIRS: usize = 20_001;
+
+/// 64-call loops per timed sample: 16,384 calls, 35-100 µs. Long enough
+/// that the clock read and the switch between legs are amortized (with
+/// one loop per sample, the ratio read 2.09 against 1.85 at this length
+/// in slow-state runs minutes apart); short enough that a host stall
+/// spoils one pair rather than a whole leg.
+const LOOPS_PER_SAMPLE: usize = 256;
+
+/// Seconds of a counter bump (`LOOPS_PER_SAMPLE` × 64 calls) through
+/// `sink`'s vtable.
+fn sample(sink: &Arc<dyn Recorder>) -> f64 {
+    let started = Instant::now();
+    for _ in 0..LOOPS_PER_SAMPLE {
+        for _ in 0..64u64 {
+            black_box(sink).add(names::SERVE_REQUESTS, black_box(1));
+        }
+    }
+    started.elapsed().as_secs_f64()
+}
+
+/// The budgeted pair: an actual NoopRecorder virtual dispatch (not the
+/// enabled-gated short circuit, which compiles to one flag load) vs a
+/// LiveRecorder counter bump through the same plumbing. The two legs
+/// alternate sample by sample, each pair taking the other order from
+/// the last, so a slow phase of the host lands on both legs alike; the
+/// gate reads the median of the per-pair ratios.
+fn bump_vs_dispatch(registry: &Arc<LiveRecorder>) {
+    let dispatch: Arc<dyn Recorder> = Arc::new(NoopRecorder);
+    let bump: Arc<dyn Recorder> = registry.clone();
+    let warm = Instant::now();
+    while warm.elapsed() < Duration::from_millis(500) {
+        sample(&dispatch);
+        sample(&bump);
+    }
+    let pairs: Vec<(f64, f64)> = (0..PAIRS)
+        .map(|i| {
+            if i % 2 == 0 {
+                let d = sample(&dispatch);
+                (d, sample(&bump))
+            } else {
+                let b = sample(&bump);
+                (sample(&dispatch), b)
+            }
+        })
+        .collect();
+    let ns_per_call = |leg: fn(&(f64, f64)) -> f64| {
+        let mut secs: Vec<f64> = pairs.iter().map(leg).collect();
+        secs.sort_by(f64::total_cmp);
+        secs[secs.len() / 2] * 1e9 / (LOOPS_PER_SAMPLE * 64) as f64
+    };
+    let (dispatch_ns, bump_ns) = (ns_per_call(|p| p.0), ns_per_call(|p| p.1));
+    let mut ratios: Vec<f64> = pairs.iter().map(|(d, b)| b / d).collect();
+    ratios.sort_by(f64::total_cmp);
+    let at = |q: usize| ratios[(ratios.len() - 1) * q / 4];
+    let (q1, median, q3) = (at(1), at(2), at(3));
+    let id = "live_metrics_overhead/bump_vs_dispatch";
+    println!(
+        "{id:<40} pairs={PAIRS} median ratio={median:.3} (quartiles {q1:.3}-{q3:.3}; \
+         medians dispatch {dispatch_ns:.2} ns, bump {bump_ns:.2} ns per call)"
+    );
     // The registry really collected: the live leg must not be dead code.
     assert!(registry.snapshot().counter(names::SERVE_REQUESTS) > 0);
 }

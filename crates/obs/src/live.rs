@@ -24,6 +24,13 @@
 //!   keeps a live bump within 2x of a virtual-dispatch noop. Later
 //!   threads share one overflow lane where `fetch_add` keeps totals
 //!   exact; a snapshot sums the lanes.
+//! * **Series lanes built on first record.** A histogram or span slot
+//!   holds its name, min and max inline; its lanes (8 × 65 buckets,
+//!   4.5 KiB) are built when a name claims the slot, before any thread
+//!   caches a route to it. A registry therefore pays lanes only for the
+//!   series it records, not for every slot in its tables. Counter lanes
+//!   stay inline: the table is small, and the counter bump is the
+//!   budgeted hot path.
 //!
 //! Gauges are the fourth metric kind: a *level* (queue depth, live
 //! connections) with set/add/sub semantics and a high-water mark, where
@@ -48,7 +55,9 @@ use crate::{log2_bucket, GaugeSnapshot, Recorder, RunReport, SeriesStats};
 
 /// Slots per metric table; names beyond this are silently dropped
 /// (counted in [`LiveRecorder::overflowed`]). The workspace vocabulary
-/// is ~40 names, so 256 leaves the tables < 20% full.
+/// ([`crate::names`]) holds 53 names across all kinds, so 256 keeps
+/// every table under a quarter full. An unclaimed series slot costs no
+/// lanes, only its 56-byte header.
 const SLOTS: usize = 256;
 
 /// Write lanes per slot. The first `SHARDS - 1` threads to record each
@@ -94,9 +103,14 @@ struct SeriesLane {
 /// `count` is derived from the buckets (they partition the
 /// observations), so recording costs one bucket bump, one sum bump, and
 /// two usually-skipped conditional updates for the slot-shared min/max.
+///
+/// The lanes (4.5 KiB) are built when a name claims the slot, so an
+/// unclaimed slot costs only its name, min and max.
 struct SeriesSlot {
     name: OnceLock<&'static str>,
-    lanes: [SeriesLane; SHARDS],
+    /// Built in [`LiveRecorder::resolve_slow`] before any thread caches
+    /// a route to this slot, so the record path always finds them.
+    lanes: OnceLock<Box<[SeriesLane; SHARDS]>>,
     /// Initialized to `u64::MAX`; meaningful once any bucket is nonzero.
     min: AtomicU64,
     max: AtomicU64,
@@ -265,6 +279,8 @@ pub struct LiveRecorder {
     gauges: Box<[GaugeSlot; SLOTS]>,
     /// Records that found every table slot taken (vocabulary overflow).
     overflow: AtomicU64,
+    /// Series lane sets built so far (one per claimed series slot).
+    lane_sets: AtomicUsize,
     /// Timestamped cumulative snapshots for window queries. Touched only
     /// by [`roll`](Self::roll)/[`windowed`](Self::windowed) — never by
     /// the record path.
@@ -295,6 +311,7 @@ impl LiveRecorder {
                 high: AtomicU64::new(0),
             }),
             overflow: AtomicU64::new(0),
+            lane_sets: AtomicUsize::new(0),
             ring: Mutex::new(WindowRing {
                 entries: VecDeque::new(),
             }),
@@ -302,7 +319,7 @@ impl LiveRecorder {
     }
 
     /// Heap-builds one fixed-size slot table (too big for the stack to
-    /// be comfortable: a series table is several hundred KiB).
+    /// be comfortable: the counter table is 144 KiB).
     fn table<T>(make: impl Fn() -> T) -> Box<[T; SLOTS]> {
         let slots: Vec<T> = (0..SLOTS).map(|_| make()).collect();
         slots
@@ -316,13 +333,31 @@ impl LiveRecorder {
     fn series_slot() -> SeriesSlot {
         SeriesSlot {
             name: OnceLock::new(),
-            lanes: std::array::from_fn(|_| SeriesLane {
-                sum: AtomicU64::new(0),
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            }),
+            lanes: OnceLock::new(),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
+    }
+
+    /// Builds a claimed series slot's lanes, once per slot however many
+    /// threads race here.
+    fn build_lanes(&self, slot: &SeriesSlot) {
+        slot.lanes.get_or_init(|| {
+            self.lane_sets.fetch_add(1, Ordering::Relaxed);
+            Box::new(std::array::from_fn(|_| SeriesLane {
+                sum: AtomicU64::new(0),
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            }))
+        });
+    }
+
+    /// Heap bytes the registry holds for metrics: its four slot tables
+    /// plus the lanes of every claimed histogram and span name.
+    pub fn footprint_bytes(&self) -> usize {
+        std::mem::size_of::<[CounterSlot; SLOTS]>()
+            + 2 * std::mem::size_of::<[SeriesSlot; SLOTS]>()
+            + std::mem::size_of::<[GaugeSlot; SLOTS]>()
+            + self.lane_sets.load(Ordering::Relaxed) * std::mem::size_of::<[SeriesLane; SHARDS]>()
     }
 
     /// Time since the recorder was created.
@@ -405,16 +440,21 @@ impl LiveRecorder {
     #[cold]
     #[inline(never)]
     fn record_series_cold(&self, kind: Kind, name: &'static str, value: u64) {
-        let table = match kind {
-            Kind::Span => &self.spans,
-            _ => &self.histograms,
-        };
         if let Some((slot, lane, exclusive)) = self.resolve_cold(kind, name) {
-            Self::record_series(table, slot, lane, exclusive, value);
+            Self::record_series(self.series_table(kind), slot, lane, exclusive, value);
         }
     }
 
-    /// Open-addressed probe over the table's `OnceLock` names.
+    /// The histogram or span table; other kinds have no series table.
+    fn series_table(&self, kind: Kind) -> &[SeriesSlot; SLOTS] {
+        match kind {
+            Kind::Span => &self.spans,
+            _ => &self.histograms,
+        }
+    }
+
+    /// Open-addressed probe over the table's `OnceLock` names. A series
+    /// slot's lanes are built here, before the caller caches the route.
     fn resolve_slow(&self, kind: Kind, name: &'static str) -> Option<usize> {
         let h = hash_name(name);
         for probe in 0..SLOTS {
@@ -425,15 +465,16 @@ impl LiveRecorder {
                 Kind::Span => &self.spans[idx].name,
                 Kind::Gauge => &self.gauges[idx].name,
             };
-            match cell.get() {
-                Some(&taken) if taken == name => return Some(idx),
-                Some(_) => continue,
-                None => {
-                    if cell.set(name).is_ok() || cell.get().is_some_and(|&n| n == name) {
-                        return Some(idx);
-                    }
-                    // A different name won the race for this slot.
+            // On a lost race for an empty slot, `get` sees the winner.
+            let claimed = match cell.get() {
+                Some(&taken) => taken == name,
+                None => cell.set(name).is_ok() || cell.get().is_some_and(|&n| n == name),
+            };
+            if claimed {
+                if matches!(kind, Kind::Histogram | Kind::Span) {
+                    self.build_lanes(&self.series_table(kind)[idx]);
                 }
+                return Some(idx);
             }
         }
         self.overflow.fetch_add(1, Ordering::Relaxed);
@@ -449,7 +490,12 @@ impl LiveRecorder {
         value: u64,
     ) {
         let s = &table[slot];
-        let l = &s.lanes[lane];
+        // Always built: `resolve_slow` builds them before handing out
+        // the slot.
+        let Some(lanes) = s.lanes.get() else {
+            return;
+        };
+        let l = &lanes[lane];
         bump(&l.buckets[log2_bucket(value)], 1, exclusive);
         bump(&l.sum, value, exclusive);
         // min/max RMWs are skipped in the steady state (the plain loads
@@ -463,10 +509,11 @@ impl LiveRecorder {
     }
 
     fn series_stats(slot: &SeriesSlot) -> Option<SeriesStats> {
+        let lanes = slot.lanes.get()?;
         let mut buckets = [0u64; 65];
         let mut count = 0u64;
         let mut sum = 0u64;
-        for lane in &slot.lanes {
+        for lane in lanes.iter() {
             for (b, cell) in lane.buckets.iter().enumerate() {
                 let n = cell.load(Ordering::Relaxed);
                 buckets[b] += n;
@@ -809,6 +856,28 @@ mod tests {
         }
         assert!(live.overflowed() >= 8);
         assert_eq!(live.snapshot().counters.len(), SLOTS);
+    }
+
+    #[test]
+    fn unclaimed_series_slots_hold_no_lanes() {
+        // Lanes inline in the slot again would make every unclaimed slot
+        // cost at least one lane.
+        assert!(
+            std::mem::size_of::<SeriesSlot>() < std::mem::size_of::<SeriesLane>(),
+            "SeriesSlot is {} bytes, a lane {}",
+            std::mem::size_of::<SeriesSlot>(),
+            std::mem::size_of::<SeriesLane>()
+        );
+        let live = LiveRecorder::new();
+        let empty = live.footprint_bytes();
+        live.add("f.count", 1);
+        live.gauge_add("f.level", 1);
+        assert_eq!(live.footprint_bytes(), empty);
+        live.observe("f.hist", 3);
+        live.observe("f.hist", 5);
+        live.record_span("f.span", 7);
+        let lanes = std::mem::size_of::<[SeriesLane; SHARDS]>();
+        assert_eq!(live.footprint_bytes(), empty + 2 * lanes);
     }
 
     #[test]

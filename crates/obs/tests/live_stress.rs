@@ -7,10 +7,12 @@
 //! into the registry or through a [`FanoutRecorder`] composed via
 //! [`RecorderHandle::sink`]. The parity test pins the other half of the
 //! contract: on a sequential workload the lock-free registry reports
-//! exactly what a plain fold of the same observations gives.
+//! exactly what a plain fold of the same observations gives. The race
+//! tests pin the lazily built series lanes: threads released together on
+//! a brand-new name build its lanes once and lose no record.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use netdiag_obs::{GaugeSnapshot, LiveRecorder, Recorder, RecorderHandle, RunReport, SeriesStats};
 
@@ -144,4 +146,86 @@ fn sequential_workload_matches_a_plain_fold_exactly() {
     // gauges — the lock-free path may not drift from the fold in any
     // field.
     assert_eq!(live.snapshot(), expected);
+}
+
+/// Heap bytes one claimed series adds to a registry's footprint.
+fn lane_set_bytes() -> usize {
+    let live = LiveRecorder::new();
+    let empty = live.footprint_bytes();
+    live.observe(HIST, 1);
+    live.footprint_bytes() - empty
+}
+
+/// Fresh registries the race test releases its threads on: a lost
+/// first record needs a thread to land in the moment between a name's
+/// claim and its lanes' construction, so one race rarely shows it.
+const RACES: u64 = 200;
+
+/// Records per thread and name in each race.
+const RACE_OPS: u64 = 64;
+
+#[test]
+fn racing_first_records_build_each_series_once() {
+    let hist: Vec<u64> = (0..THREADS * RACE_OPS).collect();
+    let span: Vec<u64> = (0..THREADS)
+        .flat_map(|t| (0..RACE_OPS).map(move |i| (t + i) % 512))
+        .collect();
+    let expected = RunReport {
+        histograms: BTreeMap::from([(HIST.to_owned(), fold_series(&hist))]),
+        spans: BTreeMap::from([(SPAN.to_owned(), fold_series(&span))]),
+        ..RunReport::default()
+    };
+    let lane_set = lane_set_bytes();
+    for race in 0..RACES {
+        let live = LiveRecorder::new();
+        let empty = live.footprint_bytes();
+        let start = Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (live, start) = (&live, &start);
+                scope.spawn(move || {
+                    // Every thread's first record of both names lands at
+                    // once.
+                    start.wait();
+                    for i in 0..RACE_OPS {
+                        live.observe(HIST, t * RACE_OPS + i);
+                        live.record_span(SPAN, (t + i) % 512);
+                    }
+                });
+            }
+        });
+        // One slot and one lane set per name: a second slot for either
+        // name, or a lane set built twice, would show here.
+        assert_eq!(
+            live.footprint_bytes(),
+            empty + 2 * lane_set,
+            "race {race}: lane sets"
+        );
+        assert_eq!(live.overflowed(), 0, "race {race}: overflow");
+        assert_eq!(live.snapshot(), expected, "race {race}: totals");
+    }
+}
+
+#[test]
+fn series_names_past_the_table_are_counted_as_overflow() {
+    let live = LiveRecorder::new();
+    let empty = live.footprint_bytes();
+    let fresh = |i: usize| -> &'static str { Box::leak(format!("overflow.{i}").into_boxed_str()) };
+    // Claim slots until a name finds the table full.
+    let mut claimed = 0;
+    while live.overflowed() == 0 {
+        assert!(claimed <= 4096, "histogram table never filled");
+        live.observe(fresh(claimed), 1);
+        claimed += 1;
+    }
+    claimed -= 1;
+    for i in 0..7 {
+        live.observe(fresh(claimed + 1 + i), 1);
+    }
+    assert_eq!(live.overflowed(), 8);
+    // Dropped names build no lanes and leave the claimed series intact.
+    assert_eq!(live.footprint_bytes(), empty + claimed * lane_set_bytes());
+    let report = live.snapshot();
+    assert_eq!(report.histograms.len(), claimed);
+    assert!(report.histograms.values().all(|s| s.count == 1));
 }

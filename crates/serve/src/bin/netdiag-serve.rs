@@ -42,8 +42,9 @@
 //!     throughput, client-observed p50/p90/p99 and the server's own
 //!     service-time percentiles (fetched via `stats`), flagging when
 //!     client p99 diverges >2x above server p99 (queueing). `--compare`
-//!     runs telemetry-on and telemetry-off legs on one baseline and
-//!     prints their throughput ratio.
+//!     runs 21 interleaved pairs of telemetry-on and telemetry-off
+//!     rounds on one baseline and prints the median of the per-pair
+//!     throughput ratios.
 //!
 //! netdiag-serve stop (--connect ADDR | --unix PATH)
 //!     Asks a running daemon to shut down.
@@ -423,26 +424,32 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         config.clients, config.requests, config.algo
     );
     if args.iter().any(|a| a == "--compare") {
-        let (on, off) = match bench_compare(&config) {
+        let legs = match bench_compare(&config) {
             Ok(legs) => legs,
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         };
-        println!("--- telemetry on ---");
-        print_bench_results(&on);
-        println!("--- telemetry off ---");
-        print_bench_results(&off);
-        let ratio = if off.req_per_sec > 0.0 {
-            on.req_per_sec / off.req_per_sec
-        } else {
-            0.0
-        };
-        // bench.sh parses this line for the overhead gate.
+        let ratios = legs.ratios();
+        let order = legs.pairs_by_ratio();
+        let quartile = |q: usize| ratios[order[(order.len() - 1) * q / 4]];
+        let median = order[order.len() / 2];
+        println!("--- telemetry on (median pair) ---");
+        print_bench_results(&legs.on[median]);
+        println!("--- telemetry off (median pair) ---");
+        print_bench_results(&legs.off[median]);
+        // bench.sh parses the ratio at the end of this line for the
+        // overhead gate: the median of the per-pair on/off ratios.
         println!(
-            "telemetry-compare: on {:.1} req/s, off {:.1} req/s, ratio {ratio:.3}",
-            on.req_per_sec, off.req_per_sec
+            "telemetry-compare: {} pairs, quartiles {:.3}-{:.3}, median pair on {:.1} req/s, \
+             off {:.1} req/s, ratio {:.3}",
+            ratios.len(),
+            quartile(1),
+            quartile(3),
+            legs.on[median].req_per_sec,
+            legs.off[median].req_per_sec,
+            ratios[median]
         );
         return ExitCode::SUCCESS;
     }
