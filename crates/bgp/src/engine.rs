@@ -54,8 +54,10 @@ pub struct Ctx<'a> {
 /// Dense prefix id: index into the engine's sorted prefix table.
 type Pid = u32;
 
-/// Sentinel for "no session" (locally originated) in a stored route.
-const NO_SESSION: u32 = u32::MAX;
+/// Sentinel for "no session" (locally originated) in a stored route's
+/// slot. Every real slot is below it, which [`assert_slots_indexable`]
+/// guarantees at construction.
+const NO_SLOT: u16 = u16::MAX;
 /// Path id of the empty AS path (always interned first).
 const PATH_EMPTY: u32 = 0;
 
@@ -138,34 +140,87 @@ impl PathPool {
     }
 }
 
-/// A route as stored in an Adj-RIB-In cell: 12 bytes, every other
-/// attribute derivable (the exit link = the eBGP session's link; the
-/// local preference = [`pref_of`] the source; the `learned_from` peer =
-/// the session's other endpoint; the egress = [`StoredRoute::egress`];
-/// the prefix = the pid of the column it sits in).
+/// [`StoredRoute::flags`] bits holding the source's code (see
+/// [`source_code`]).
+const SOURCE_BITS: u8 = 0b011;
+/// [`StoredRoute::flags`] bit set on a route learned over eBGP.
+const EBGP_BIT: u8 = 0b100;
+
+/// The two-bit code of a route source, ascending with its local
+/// preference ([`pref_of`]), so comparing codes ranks routes as
+/// comparing preferences does.
+const fn source_code(source: RouteSource) -> u8 {
+    match source {
+        RouteSource::External(PeerKind::Provider) => 0,
+        RouteSource::External(PeerKind::Peer) => 1,
+        RouteSource::External(PeerKind::Customer) => 2,
+        RouteSource::Originated => 3,
+    }
+}
+
+/// A route as stored in an Adj-RIB-In cell: 8 bytes, every other
+/// attribute derivable (the session = the router's `slot`-th one; the
+/// exit link = the eBGP session's link; the local preference =
+/// [`pref_of`] the source; the `learned_from` peer = the session's other
+/// endpoint; the egress = [`StoredRoute::egress`]; the prefix = the pid
+/// of the column it sits in).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct StoredRoute {
     /// Interned AS path ([`PathPool`] id).
     path: u32,
-    /// Session the route was learned on ([`NO_SESSION`] = originated).
-    session: u32,
+    /// The session the route was learned on, as an index into the
+    /// router's own session list ([`SessionTable::of_router`], see
+    /// [`SlotTable`]); [`NO_SLOT`] = originated.
+    slot: u16,
     /// Cached AS-path length (decision-process hot read).
     path_len: u8,
-    /// How the route entered the local AS.
-    source: RouteSource,
-    /// True when learned over eBGP at this router.
-    ebgp: bool,
+    /// How the route entered the local AS ([`SOURCE_BITS`]) and whether
+    /// it was learned over eBGP at this router ([`EBGP_BIT`]).
+    flags: u8,
 }
 
 impl StoredRoute {
     /// A locally-originated route.
     const ORIGINATED: StoredRoute = StoredRoute {
         path: PATH_EMPTY,
-        session: NO_SESSION,
+        slot: NO_SLOT,
         path_len: 0,
-        source: RouteSource::Originated,
-        ebgp: false,
+        flags: source_code(RouteSource::Originated),
     };
+
+    #[inline]
+    fn new(path: u32, slot: u16, path_len: u8, source: RouteSource, ebgp: bool) -> Self {
+        StoredRoute {
+            path,
+            slot,
+            path_len,
+            flags: source_code(source) | if ebgp { EBGP_BIT } else { 0 },
+        }
+    }
+
+    /// How the route entered the local AS.
+    #[inline]
+    fn source(&self) -> RouteSource {
+        match self.flags & SOURCE_BITS {
+            0 => RouteSource::External(PeerKind::Provider),
+            1 => RouteSource::External(PeerKind::Peer),
+            2 => RouteSource::External(PeerKind::Customer),
+            _ => RouteSource::Originated,
+        }
+    }
+
+    /// The rank of the route's local preference: ordered as
+    /// [`pref_of`] its source.
+    #[inline]
+    fn pref_rank(&self) -> u8 {
+        self.flags & SOURCE_BITS
+    }
+
+    /// True when learned over eBGP at this router.
+    #[inline]
+    fn ebgp(&self) -> bool {
+        self.flags & EBGP_BIT != 0
+    }
 
     /// The border router of `r`'s AS where traffic on this route, stored
     /// at `r` and learned from `peer` (when learned at all), exits.
@@ -178,7 +233,7 @@ impl StoredRoute {
     #[inline]
     fn egress(&self, r: RouterId, peer: Option<RouterId>) -> RouterId {
         match peer {
-            Some(peer) if !self.ebgp => peer,
+            Some(peer) if !self.ebgp() => peer,
             _ => r,
         }
     }
@@ -193,14 +248,14 @@ const BEST_NONE: u16 = u16::MAX;
 /// [`assert_slots_indexable`] guarantees at construction.
 const BEST_ORIGINATED: u16 = u16::MAX - 1;
 
-/// Routes received for one prefix at one router, keyed by session, and
-/// the router's Loc-RIB entry for the prefix.
+/// Routes received for one prefix at one router, keyed by session slot,
+/// and the router's Loc-RIB entry for the prefix.
 ///
 /// Valley-free exports mean a router hears a given prefix from only a
 /// handful of neighbors, so two slots live inline and the rare overflow
 /// (well under 0.1% of the cells of a generated internet) goes to a list
 /// in its column's spill arena, [`Column::spill`]: the common path
-/// allocates nothing and the cell stays 32 bytes. The best route is
+/// allocates nothing and the cell stays 24 bytes. The best route is
 /// always one of the cell's own routes or the originated one, so the
 /// Loc-RIB is not a copy but an index, `best`, into the order
 /// [`Column::adj_iter`] yields. The cell's routes are read and written
@@ -209,8 +264,9 @@ const BEST_ORIGINATED: u16 = u16::MAX - 1;
 struct AdjCell {
     /// Routes held, inline and spilled.
     len: u16,
-    /// The Loc-RIB entry: the slot of the best route, [`BEST_NONE`] or
-    /// [`BEST_ORIGINATED`]. Between a change to the cell's routes and
+    /// The Loc-RIB entry: the slot of the best route (its position in
+    /// [`Column::adj_iter`]'s order, not its [`StoredRoute::slot`]),
+    /// [`BEST_NONE`] or [`BEST_ORIGINATED`]. Between a change to the cell's routes and
     /// the [`Bgp::decide`] that follows it the slot may be stale: a
     /// removal shifts the slots after it.
     best: u16,
@@ -347,8 +403,8 @@ impl Msg {
 // The layouts the RIB and queue memory budget rests on: a cell, with
 // its Loc-RIB entry, is the whole per router × prefix cost.
 const _: () = {
-    assert!(std::mem::size_of::<StoredRoute>() == 12);
-    assert!(std::mem::size_of::<AdjCell>() == 32);
+    assert!(std::mem::size_of::<StoredRoute>() == 8);
+    assert!(std::mem::size_of::<AdjCell>() == 24);
     assert!(std::mem::size_of::<Msg>() == 20);
 };
 
@@ -382,15 +438,15 @@ pub struct ObservedMsg {
 ///
 /// `adj_in` is a flat array indexed by router whose cells also hold each
 /// router's Loc-RIB entry, so a prefix's convergence walks one contiguous
-/// column and allocates nothing per message: 32 bytes per router. The
+/// column and allocates nothing per message: 24 bytes per router. The
 /// Adj-RIB-Out is one bit per session endpoint (see [`out_bit`]). Every
 /// path a column's routes carry ends in the prefix's origin AS, so its
 /// [`PathPool`] is its own and no path id crosses columns. The whole
 /// struct sits behind an `Arc` for copy-on-write engine clones.
 #[derive(Clone, Debug)]
 struct Column {
-    /// Routes received per router (by router index), per session, and
-    /// the router's best route; read and written through the `adj_*`
+    /// Routes received per router (by router index), per session slot,
+    /// and the router's best route; read and written through the `adj_*`
     /// methods and [`Column::best`].
     adj_in: Vec<AdjCell>,
     /// Overflow lists of the `adj_in` cells holding more than
@@ -446,19 +502,16 @@ impl Column {
         }
     }
 
-    /// The route router `r` received on `session`, if any.
-    fn adj_get(&self, r: RouterId, session: u32) -> Option<&StoredRoute> {
-        self.adj_iter(r).find(|sr| sr.session == session)
+    /// The route router `r` received on its session `slot`, if any.
+    fn adj_get(&self, r: RouterId, slot: u16) -> Option<&StoredRoute> {
+        self.adj_iter(r).find(|sr| sr.slot == slot)
     }
 
-    /// Inserts or replaces the route router `r` received on `sr.session`.
+    /// Inserts or replaces the route router `r` received on `sr.slot`.
     fn adj_upsert(&mut self, r: RouterId, sr: StoredRoute) {
         let cell = &mut self.adj_in[r.index()];
         let il = cell.inline_len();
-        if let Some(slot) = cell.inline[..il]
-            .iter_mut()
-            .find(|e| e.session == sr.session)
-        {
+        if let Some(slot) = cell.inline[..il].iter_mut().find(|e| e.slot == sr.slot) {
             *slot = sr;
             return;
         }
@@ -473,7 +526,7 @@ impl Column {
             self.spill.push(Vec::new());
         }
         let list = &mut self.spill[cell.spill as usize];
-        if let Some(slot) = list.iter_mut().find(|e| e.session == sr.session) {
+        if let Some(slot) = list.iter_mut().find(|e| e.slot == sr.slot) {
             *slot = sr;
             return;
         }
@@ -481,14 +534,14 @@ impl Column {
         cell.len += 1;
     }
 
-    /// Removes the route router `r` received on `session`; false when
-    /// absent. Removing an inline route shifts the inline tail left and
-    /// refills the freed slot from the head of the overflow list, so the
-    /// order [`Column::adj_iter`] yields is the remaining routes' arrival
-    /// order. The decision does not depend on that order: its key ends in
-    /// the session, and a cell's sessions are distinct, so no two routes
-    /// tie.
-    fn adj_remove(&mut self, r: RouterId, session: u32) -> bool {
+    /// Removes the route router `r` received on its session `slot`;
+    /// false when absent. Removing an inline route shifts the inline tail
+    /// left and refills the freed position from the head of the overflow
+    /// list, so the order [`Column::adj_iter`] yields is the remaining
+    /// routes' arrival order. The decision does not depend on that order:
+    /// its key ends in the session slot, and a cell's slots are distinct,
+    /// so no two routes tie.
+    fn adj_remove(&mut self, r: RouterId, slot: u16) -> bool {
         let cell = &mut self.adj_in[r.index()];
         let il = cell.inline_len();
         let list = if cell.spilled() {
@@ -496,7 +549,7 @@ impl Column {
         } else {
             None
         };
-        if let Some(i) = cell.inline[..il].iter().position(|e| e.session == session) {
+        if let Some(i) = cell.inline[..il].iter().position(|e| e.slot == slot) {
             cell.inline.copy_within(i + 1..il, i);
             if let Some(list) = list {
                 cell.inline[AdjCell::INLINE - 1] = list.remove(0);
@@ -505,7 +558,7 @@ impl Column {
             return true;
         }
         if let Some(list) = list {
-            if let Some(i) = list.iter().position(|e| e.session == session) {
+            if let Some(i) = list.iter().position(|e| e.slot == slot) {
                 list.remove(i);
                 cell.len -= 1;
                 return true;
@@ -516,7 +569,8 @@ impl Column {
 }
 
 /// Panics unless every one of the `routers` has fewer than `bound`
-/// sessions, so that every slot of its cells is below `bound`.
+/// sessions, so that every position in its cells and every session slot
+/// of its routes is below `bound`.
 fn assert_slots_indexable(sessions: &SessionTable, routers: usize, bound: u16) {
     for r in 0..routers {
         let n = sessions.of_router(RouterId(r as u32)).len();
@@ -524,6 +578,67 @@ fn assert_slots_indexable(sessions: &SessionTable, routers: usize, bound: u16) {
             n < usize::from(bound),
             "router {r} has {n} BGP sessions; a RIB cell indexes fewer than {bound}"
         );
+    }
+}
+
+/// The set of prefix lengths in `prefixes`, as a bitmask: bit `len` set
+/// when some prefix is `len` bits long.
+fn length_mask(prefixes: &[Prefix]) -> u64 {
+    prefixes.iter().fold(0, |m, p| m | 1 << p.len())
+}
+
+/// Every router's sessions by *slot*, the index into the router's own
+/// session list ([`SessionTable::of_router`]) that a [`StoredRoute`]
+/// keeps in place of the global [`SessionId`].
+///
+/// [`SessionTable::build`] pushes each router's sessions in ascending
+/// id order, so comparing two slots of one router orders the routes as
+/// comparing their session ids would, and [`Bgp::decide`]'s last
+/// tie-break picks the same route either way. Built once with the
+/// engine and shared by its clones.
+#[derive(Debug)]
+struct SlotTable {
+    /// Where each router's slots start in `via`, indexed by router; one
+    /// trailing entry closes the last router's range.
+    start: Vec<u32>,
+    /// Slot → the session and its other endpoint, flat over all routers.
+    via: Vec<(SessionId, RouterId)>,
+    /// Each session's slot at endpoint `a` and at endpoint `b`, indexed
+    /// by session id.
+    ends: Vec<[u16; 2]>,
+}
+
+impl SlotTable {
+    fn build(sessions: &SessionTable, routers: usize) -> Self {
+        let mut start = Vec::with_capacity(routers + 1);
+        let mut via = Vec::with_capacity(2 * sessions.sessions().len());
+        let mut ends = vec![[NO_SLOT; 2]; sessions.sessions().len()];
+        for r in (0..routers).map(|r| RouterId(r as u32)) {
+            start.push(via.len() as u32);
+            for (slot, &sid) in sessions.of_router(r).iter().enumerate() {
+                let s = sessions.get(sid);
+                let peer = s
+                    .other(r)
+                    .expect("a router's session list holds its own sessions");
+                via.push((sid, peer));
+                // Below `NO_SLOT`, as `assert_slots_indexable` checked.
+                ends[sid.index()][usize::from(r != s.a)] = slot as u16;
+            }
+        }
+        start.push(via.len() as u32);
+        SlotTable { start, via, ends }
+    }
+
+    /// Router `r`'s slots: slot `i` is entry `i`, its session and peer.
+    #[inline]
+    fn of(&self, r: RouterId) -> &[(SessionId, RouterId)] {
+        &self.via[self.start[r.index()] as usize..self.start[r.index() + 1] as usize]
+    }
+
+    /// The slot of `session` at its endpoint `r`.
+    #[inline]
+    fn at(&self, session: &Session, r: RouterId) -> u16 {
+        self.ends[session.id.index()][usize::from(r != session.a)]
     }
 }
 
@@ -559,8 +674,13 @@ pub struct Bgp {
     pub sessions: Arc<SessionTable>,
     /// Sorted prefix table; pid = index (immutable after build).
     prefixes: Arc<Vec<Prefix>>,
+    /// Bit `len` set when the prefix table holds a prefix of length
+    /// `len` (0..=32): the lengths [`Bgp::longest_match`] probes.
+    prefix_lens: u64,
     /// Per-session policy inputs (immutable after build).
     sess_meta: Arc<Vec<SessMeta>>,
+    /// Every router's sessions by slot (immutable after build).
+    slots: Arc<SlotTable>,
     /// Per-prefix state, one column per pid (copy-on-write).
     columns: Vec<Arc<Column>>,
     filters: ExportFilters,
@@ -608,11 +728,14 @@ impl Bgp {
     /// answers `None` for them and a filter on them queues nothing.
     pub fn with_origins(topology: &Topology, origins: &[AsId]) -> Self {
         let sessions = Arc::new(SessionTable::build(topology));
-        // A cell holds at most one route per session of its router, and
-        // its Loc-RIB slot is a `u16` below the sentinels. The busiest
-        // router of a generated internet (seed 1) has 102 sessions at 1k
-        // ASes, 741 at 10k and 3,616 at 60k, far below the bound.
+        // A cell holds at most one route per session of its router, its
+        // Loc-RIB entry is a `u16` position below the sentinels, and each
+        // route names its session by a `u16` slot below `NO_SLOT`. The
+        // busiest router of a generated internet (seed 1) has 102
+        // sessions at 1k ASes, 741 at 10k and 3,616 at 60k, far below the
+        // bound.
         assert_slots_indexable(&sessions, topology.router_count(), BEST_ORIGINATED);
+        let slots = Arc::new(SlotTable::build(&sessions, topology.router_count()));
         let mut prefixes: Vec<Prefix> = origins
             .iter()
             .map(|&a| topology.as_node(a).prefix)
@@ -653,8 +776,10 @@ impl Bgp {
             MAX_MESSAGES_PER_RUN.max(sess_meta.len() as u64 * n_prefixes.max(1) as u64 * 64);
         Bgp {
             sessions,
+            prefix_lens: length_mask(&prefixes),
             prefixes: Arc::new(prefixes),
             sess_meta: Arc::new(sess_meta),
+            slots,
             columns: (0..n_prefixes)
                 .map(|_| Arc::new(Column::sized(topology.router_count())))
                 .collect(),
@@ -1003,29 +1128,21 @@ impl Bgp {
     /// The session a route stored at `r` was learned on and its peer, the
     /// session's other endpoint (`None` for an originated route).
     fn learned_from(&self, r: RouterId, sr: StoredRoute) -> Option<(SessionId, RouterId)> {
-        (sr.session != NO_SESSION).then(|| {
-            let sid = SessionId(sr.session);
-            let peer = self
-                .sessions
-                .get(sid)
-                .other(r)
-                .expect("a stored session has the owning router as an endpoint");
-            (sid, peer)
-        })
+        (sr.slot != NO_SLOT).then(|| self.slots.of(r)[usize::from(sr.slot)])
     }
 
     /// Where traffic on a route stored at `r` leaves `r`'s AS.
     fn exit(&self, r: RouterId, sr: StoredRoute) -> Exit {
+        let learned = self.learned_from(r, sr);
         // An eBGP-learned route exits on the link its session rides.
-        let ebgp_link = if sr.ebgp {
-            match self.sessions.get(SessionId(sr.session)).kind {
+        let ebgp_link = match learned {
+            Some((sid, _)) if sr.ebgp() => match self.sessions.get(sid).kind {
                 SessionKind::Ebgp { link } => Some(link),
                 SessionKind::Ibgp => None,
-            }
-        } else {
-            None
+            },
+            _ => None,
         };
-        let peer = self.learned_from(r, sr).map(|(_, peer)| peer);
+        let peer = learned.map(|(_, peer)| peer);
         Exit {
             egress: sr.egress(r, peer),
             ebgp_link,
@@ -1040,10 +1157,10 @@ impl Bgp {
             as_path: self.col(pid).paths.get(sr.path),
             egress,
             ebgp_link,
-            local_pref: pref_of(sr.source),
-            source: sr.source,
+            local_pref: pref_of(sr.source()),
+            source: sr.source(),
             learned_from: self.learned_from(r, sr),
-            ebgp_learned: sr.ebgp,
+            ebgp_learned: sr.ebgp(),
         }
     }
 
@@ -1054,23 +1171,25 @@ impl Bgp {
     }
 
     /// The longest-prefix match for `dst` in `r`'s Loc-RIB, unmaterialized.
+    ///
+    /// Probes `dst` masked to each prefix length the table holds, longest
+    /// first, with one exact [`Bgp::pid_of`] search each. At most one
+    /// prefix of a given length contains `dst`, so the first probe that
+    /// hits a prefix `r` holds a route for is the longest match; a prefix
+    /// `r` has no route for is skipped, as a router without the route
+    /// falls back to a shorter covering one.
     fn longest_match(&self, r: RouterId, dst: Ipv4Addr) -> Option<(Pid, StoredRoute)> {
-        let mut best: Option<(Pid, StoredRoute)> = None;
-        for (i, p) in self.prefixes.iter().enumerate() {
-            if !p.contains(dst) {
-                continue;
-            }
-            let Some(sr) = self.columns[i].best(r) else {
-                continue;
-            };
-            // Distinct prefixes of equal length cannot both contain `dst`,
-            // so `<=` never actually breaks a tie; it mirrors the old
-            // last-max semantics all the same.
-            if best.is_none_or(|(bp, _)| self.prefixes[bp as usize].len() <= p.len()) {
-                best = Some((i as u32, sr));
+        let mut lens = self.prefix_lens;
+        while lens != 0 {
+            let len = 63 - lens.leading_zeros();
+            lens &= !(1 << len);
+            if let Some(pid) = self.pid_of(&Prefix::new(dst, len as u8)) {
+                if let Some(sr) = self.col(pid).best(r) {
+                    return Some((pid, sr));
+                }
             }
         }
-        best
+        None
     }
 
     /// Longest-prefix-match lookup in `r`'s Loc-RIB.
@@ -1291,12 +1410,13 @@ impl Bgp {
         // them because the session is down.
         for r in [s.a, s.b] {
             let bit = out_bit(&s, r);
+            let slot = self.slots.at(&s, r);
             // Each affected pid with `r`'s best route from before the
-            // removal, which may shift the cell's slots.
+            // removal, which may shift the cell's positions.
             let mut affected: Vec<(Pid, Option<StoredRoute>)> = Vec::new();
             for pid in 0..self.columns.len() as Pid {
                 let col = self.col(pid);
-                let learned = col.adj_get(r, sid.0).is_some();
+                let learned = col.adj_get(r, slot).is_some();
                 // Read-only pre-check so columns the session never touched
                 // don't break copy-on-write sharing.
                 if !learned && !col.adj_out.contains(bit) {
@@ -1306,7 +1426,7 @@ impl Bgp {
                 let col = self.col_mut(pid);
                 col.adj_out.set(bit, false);
                 if learned {
-                    col.adj_remove(r, sid.0);
+                    col.adj_remove(r, slot);
                     affected.push((pid, old));
                 }
             }
@@ -1326,13 +1446,14 @@ impl Bgp {
             return; // lost with the session
         }
         let meta = self.sess_meta[msg.session.index()];
-        let (session, to, pid) = (msg.session, msg.to, msg.pid());
+        let (to, pid) = (msg.to, msg.pid());
+        let session = *self.sessions.get(msg.session);
+        let slot = self.slots.at(&session, to);
         let update = matches!(msg.payload, Payload::Update(_));
         // Observer tap: record eBGP messages arriving in the observer AS.
         if let Some(obs) = self.observer {
             if meta.ebgp {
-                let s = self.sessions.get(session);
-                let (to_as, from_as) = if to == s.a {
+                let (to_as, from_as) = if to == session.a {
                     (meta.a_as, meta.b_as)
                 } else {
                     (meta.b_as, meta.a_as)
@@ -1367,39 +1488,40 @@ impl Bgp {
         // removal can overwrite or shift its slot.
         let old = self.col(pid).best(to);
         match msg.payload {
-            Payload::Update(rm) => match self.import(to, session, meta, rm) {
+            Payload::Update(rm) => match self.import(to, &session, slot, meta, rm) {
                 Some(sr) => self.col_mut(pid).adj_upsert(to, sr),
                 None => {
                     // Loop-rejected update acts as a withdraw of any
                     // previous route on the session.
-                    self.remove_adj_in(to, pid, session);
+                    self.remove_adj_in(to, pid, slot);
                 }
             },
-            Payload::Withdraw(_) => self.remove_adj_in(to, pid, session),
+            Payload::Withdraw(_) => self.remove_adj_in(to, pid, slot),
         }
         if self.decide(ctx, to, pid, old) {
             self.propagate(ctx, to, pid);
         }
     }
 
-    /// Drops the route learned for `pid` on `session` at `to`, if any,
-    /// without breaking copy-on-write when there is nothing to drop.
-    fn remove_adj_in(&mut self, to: RouterId, pid: Pid, session: SessionId) {
-        if self.col(pid).adj_get(to, session.0).is_some() {
-            self.col_mut(pid).adj_remove(to, session.0);
+    /// Drops the route learned for `pid` on session `slot` at `to`, if
+    /// any, without breaking copy-on-write when there is nothing to drop.
+    fn remove_adj_in(&mut self, to: RouterId, pid: Pid, slot: u16) {
+        if self.col(pid).adj_get(to, slot).is_some() {
+            self.col_mut(pid).adj_remove(to, slot);
         }
     }
 
-    /// Converts an incoming update into a stored route (import policy).
-    /// Returns `None` when the route is loop-rejected.
+    /// Converts an incoming update on `s`, `to`'s session `slot`, into a
+    /// stored route (import policy). Returns `None` when the route is
+    /// loop-rejected.
     fn import(
         &self,
         to: RouterId,
-        session: SessionId,
+        s: &Session,
+        slot: u16,
         meta: SessMeta,
         rm: RouteMsg,
     ) -> Option<StoredRoute> {
-        let s = self.sessions.get(session);
         match s.kind {
             SessionKind::Ebgp { .. } => {
                 let (my_as, rel) = if to == s.a {
@@ -1410,21 +1532,21 @@ impl Bgp {
                 if self.col(rm.pid).paths.contains(rm.path, my_as) {
                     return None;
                 }
-                Some(StoredRoute {
-                    path: rm.path,
-                    session: session.0,
-                    path_len: rm.path_len,
-                    source: RouteSource::External(rel),
-                    ebgp: true,
-                })
+                Some(StoredRoute::new(
+                    rm.path,
+                    slot,
+                    rm.path_len,
+                    RouteSource::External(rel),
+                    true,
+                ))
             }
-            SessionKind::Ibgp => Some(StoredRoute {
-                path: rm.path,
-                session: session.0,
-                path_len: rm.path_len,
-                source: rm.source,
-                ebgp: false,
-            }),
+            SessionKind::Ibgp => Some(StoredRoute::new(
+                rm.path,
+                slot,
+                rm.path_len,
+                rm.source,
+                false,
+            )),
         }
     }
 
@@ -1440,35 +1562,34 @@ impl Bgp {
             (BEST_ORIGINATED, Some(StoredRoute::ORIGINATED))
         } else {
             let as_igp = ctx.igp.of(ctx.topology.as_of_router(r));
-            // An eBGP route exits here; an iBGP one at its sender, the
-            // session's other endpoint (`StoredRoute::egress`).
-            let neighbor = |sr: &StoredRoute| {
-                self.sessions
-                    .get(SessionId(sr.session))
-                    .other(r)
-                    .expect("a stored session has the owning router as an endpoint")
-            };
+            // Each route's session and its sender, the session's other
+            // endpoint: an eBGP route exits here, an iBGP one at its
+            // sender (`StoredRoute::egress`).
+            let via = self.slots.of(r);
+            let learned = |sr: &StoredRoute| via[usize::from(sr.slot)];
             let best = col
                 .adj_iter(r)
                 .enumerate()
                 .filter(|(_, sr)| {
-                    self.sess_up(ctx, SessionId(sr.session))
-                        && (sr.ebgp || as_igp.reachable(r, neighbor(sr)))
+                    let (sid, n) = learned(sr);
+                    self.sess_up(ctx, sid) && (sr.ebgp() || as_igp.reachable(r, n))
                 })
                 .max_by_key(|(_, sr)| {
-                    let n = neighbor(sr);
-                    let igp_dist = if sr.ebgp {
+                    let n = learned(sr).1;
+                    let igp_dist = if sr.ebgp() {
                         0
                     } else {
                         as_igp.dist(r, n).expect("filtered reachable")
                     };
+                    // The slot orders a router's sessions as their ids do
+                    // (see `SlotTable`).
                     (
-                        pref_of(sr.source),
+                        sr.pref_rank(),
                         std::cmp::Reverse(sr.path_len),
-                        sr.ebgp,
+                        sr.ebgp(),
                         std::cmp::Reverse(igp_dist),
                         std::cmp::Reverse(n.0),
-                        std::cmp::Reverse(sr.session),
+                        std::cmp::Reverse(sr.slot),
                     )
                 });
             match best {
@@ -1500,7 +1621,7 @@ impl Bgp {
         // The eBGP prepend is identical for every peer of `r`; intern it
         // once, lazily, per propagate.
         let mut prepended: Option<(u32, u8)> = None;
-        for &sid in sessions.of_router(r) {
+        for (slot, &sid) in sessions.of_router(r).iter().enumerate() {
             if !self.sess_up(ctx, sid) {
                 continue;
             }
@@ -1509,7 +1630,9 @@ impl Bgp {
                 .other(r)
                 .expect("sid comes from r's session table, so r is an endpoint");
             let advertise: Option<RouteMsg> = match best {
-                Some(b) => self.export(r, peer, session, pid, b, &mut prepended),
+                // A slot below `NO_SLOT`, as `assert_slots_indexable`
+                // checked at construction.
+                Some(b) => self.export((r, peer), session, slot as u16, pid, b, &mut prepended),
                 None => None,
             };
             let bit = out_bit(&session, r);
@@ -1536,13 +1659,14 @@ impl Bgp {
     }
 
     /// Export policy: what (if anything) `r` advertises for its best route
-    /// `b` to `peer` over the given session. Takes `&mut self` to intern
-    /// the prepended AS path (cached in `prepended` across one propagate).
+    /// `b` to `peer` over `session`, `r`'s session `slot`. Takes `&mut
+    /// self` to intern the prepended AS path (cached in `prepended` across
+    /// one propagate).
     fn export(
         &mut self,
-        r: RouterId,
-        peer: RouterId,
+        (r, peer): (RouterId, RouterId),
         session: Session,
+        slot: u16,
         pid: Pid,
         b: StoredRoute,
         prepended: &mut Option<(u32, u8)>,
@@ -1551,14 +1675,14 @@ impl Bgp {
         if !meta.ebgp {
             // Standard iBGP: only eBGP-learned and originated routes are
             // re-advertised internally (no reflection of iBGP routes).
-            if !(b.ebgp || b.source == RouteSource::Originated) {
+            if !(b.ebgp() || b.source() == RouteSource::Originated) {
                 return None;
             }
             return Some(RouteMsg {
                 pid,
                 path: b.path,
                 path_len: b.path_len,
-                source: b.source,
+                source: b.source(),
             });
         }
         let (my_as, peer_as, rel) = if r == session.a {
@@ -1566,13 +1690,13 @@ impl Bgp {
         } else {
             (meta.b_as, meta.a_as, meta.rel_at_b)
         };
-        if !b.source.exportable_to(rel) {
+        if !b.source().exportable_to(rel) {
             return None;
         }
         if self.col(pid).paths.contains(b.path, peer_as) {
             return None; // AS-level split horizon
         }
-        if b.session == session.id.0 {
+        if b.slot == slot {
             return None; // never echo a route back on its session
         }
         if self.filters.is_denied(r, peer, self.prefixes[pid as usize]) {
@@ -1597,7 +1721,7 @@ impl Bgp {
             pid,
             path,
             path_len,
-            source: b.source,
+            source: b.source(),
         })
     }
 }
@@ -1737,15 +1861,23 @@ mod tests {
             self.adj[r]
                 .iter()
                 .max_by_key(|sr| {
-                    let peer = self.bgp.sessions.get(SessionId(sr.session)).other(center);
+                    let sid = self.bgp.sessions.of_router(center)[usize::from(sr.slot)];
+                    let peer = self.bgp.sessions.get(sid).other(center);
                     (
-                        pref_of(sr.source),
+                        pref_of(sr.source()),
                         Reverse(sr.path_len),
                         Reverse(peer.unwrap().0),
-                        Reverse(sr.session),
+                        Reverse(sid.0),
                     )
                 })
                 .copied()
+        }
+
+        /// The slot of center `r`'s session to neighbor `n`.
+        fn slot(&self, r: usize, n: usize) -> u16 {
+            let sids = self.bgp.sessions.of_router(self.centers[r]);
+            let slot = sids.iter().position(|&s| s == self.sessions[r][n]);
+            slot.unwrap() as u16
         }
 
         /// Applies `op` to the engine and the shadow; fails when the
@@ -1764,8 +1896,8 @@ mod tests {
                 igp: &self.igp,
                 links: &self.links,
             };
-            let drop_session = |adj: &mut Vec<StoredRoute>, sid: SessionId| {
-                adj.retain(|e| e.session != sid.0);
+            let drop_session = |adj: &mut Vec<StoredRoute>, slot: u16| {
+                adj.retain(|e| e.slot != slot);
             };
             match op {
                 &Op::Update { n, ref path, .. } => {
@@ -1785,20 +1917,16 @@ mod tests {
                         }),
                     };
                     self.bgp.deliver(ctx, msg);
+                    let slot = self.slot(r, n);
                     if path.iter().any(|&a| self.ases[a] == AsId(r as u32)) {
-                        drop_session(&mut self.adj[r], sid);
+                        drop_session(&mut self.adj[r], slot);
                     } else {
                         let rel = self
                             .topology
                             .relationship(AsId(r as u32), AsId(3 + n as u32));
-                        let sr = StoredRoute {
-                            path: id,
-                            session: sid.0,
-                            path_len: path.len() as u8,
-                            source: RouteSource::External(rel.unwrap()),
-                            ebgp: true,
-                        };
-                        match self.adj[r].iter().position(|e| e.session == sid.0) {
+                        let source = RouteSource::External(rel.unwrap());
+                        let sr = StoredRoute::new(id, slot, path.len() as u8, source, true);
+                        match self.adj[r].iter().position(|e| e.slot == slot) {
                             Some(i) => self.adj[r][i] = sr,
                             None => self.adj[r].push(sr),
                         }
@@ -1815,12 +1943,14 @@ mod tests {
                             payload,
                         },
                     );
-                    drop_session(&mut self.adj[r], sid);
+                    let slot = self.slot(r, n);
+                    drop_session(&mut self.adj[r], slot);
                 }
                 &Op::Flush { n, .. } => {
                     let sid = self.sessions[r][n];
                     self.bgp.flush_session(ctx, sid);
-                    drop_session(&mut self.adj[r], sid);
+                    let slot = self.slot(r, n);
+                    drop_session(&mut self.adj[r], slot);
                 }
                 Op::Redecide { .. } => self.bgp.replay_router(ctx, center, false),
                 Op::Originate => {
@@ -1906,7 +2036,138 @@ mod tests {
         assert!(refused.is_err());
     }
 
+    /// Every router's session list ascends strictly by global id, on the
+    /// paper's internet and on a generated one: that is what lets a
+    /// route's router-local slot stand in for its session id in the
+    /// decision's last tie-break. The slot table inverts the lists.
+    #[test]
+    fn session_slots_ascend_with_global_ids() {
+        use netdiag_topology::builders::{build_internet, InternetConfig};
+        use netdiag_topology::gen::{generate, GenConfig};
+        for topology in [
+            build_internet(&InternetConfig::default()).topology,
+            generate(&GenConfig::new(200, 5)).unwrap().topology,
+        ] {
+            let bgp = Bgp::new(&topology);
+            for r in topology.routers().iter().map(|r| r.id) {
+                let sids = bgp.sessions.of_router(r);
+                assert!(sids.windows(2).all(|w| w[0] < w[1]), "{r:?}: {sids:?}");
+                let via = bgp.slots.of(r);
+                assert_eq!(via.len(), sids.len());
+                for (slot, &sid) in sids.iter().enumerate() {
+                    let s = bgp.sessions.get(sid);
+                    assert_eq!(via[slot], (sid, s.other(r).unwrap()));
+                    assert_eq!(usize::from(bgp.slots.at(s, r)), slot);
+                }
+            }
+        }
+    }
+
+    /// The packed flags give back the source and the eBGP bit they were
+    /// built from, and their source codes rank as local preference does.
+    #[test]
+    fn route_flags_round_trip_and_rank_by_preference() {
+        let sources = [
+            RouteSource::External(PeerKind::Provider),
+            RouteSource::External(PeerKind::Peer),
+            RouteSource::External(PeerKind::Customer),
+            RouteSource::Originated,
+        ];
+        for source in sources {
+            for ebgp in [false, true] {
+                let sr = StoredRoute::new(7, 3, 2, source, ebgp);
+                assert_eq!((sr.source(), sr.ebgp()), (source, ebgp));
+                for other in sources {
+                    let o = StoredRoute::new(7, 3, 2, other, !ebgp);
+                    assert_eq!(
+                        sr.pref_rank().cmp(&o.pref_rank()),
+                        pref_of(source).cmp(&pref_of(other))
+                    );
+                }
+            }
+        }
+        assert_eq!(StoredRoute::ORIGINATED.source(), RouteSource::Originated);
+        assert!(!StoredRoute::ORIGINATED.ebgp());
+    }
+
+    /// The linear scan [`Bgp::longest_match`] replaced: the longest
+    /// prefix containing `dst` among those `r` holds a route for.
+    fn longest_match_scan(bgp: &Bgp, r: RouterId, dst: Ipv4Addr) -> Option<(Pid, StoredRoute)> {
+        let mut best: Option<(Pid, StoredRoute)> = None;
+        for (i, p) in bgp.prefixes.iter().enumerate() {
+            if !p.contains(dst) {
+                continue;
+            }
+            let Some(sr) = bgp.columns[i].best(r) else {
+                continue;
+            };
+            if best.is_none_or(|(bp, _)| bgp.prefixes[bp as usize].len() <= p.len()) {
+                best = Some((i as u32, sr));
+            }
+        }
+        best
+    }
+
+    /// An address in 10.0.0.0/8 with few free bits, so random prefixes
+    /// built from such addresses nest often.
+    fn nesting_addr(x: u32) -> Ipv4Addr {
+        Ipv4Addr::from(0x0A00_0000 | (x & 0x0003_0F0F))
+    }
+
     proptest! {
+        /// The indexed longest-prefix match agrees with the linear scan
+        /// over prefix tables of nested prefixes of every length, the
+        /// default route included, at routers that hold a route for only
+        /// some of them.
+        #[test]
+        fn longest_match_agrees_with_a_linear_scan(
+            prefixes in proptest::collection::vec((any::<u32>(), 0u8..=32), 1..24),
+            held in proptest::collection::vec(any::<u8>(), 24),
+            dsts in proptest::collection::vec((any::<u32>(), any::<bool>()), 1..32),
+        ) {
+            const ROUTERS: usize = 3;
+            let mut b = TopologyBuilder::new();
+            let a = b.add_as(AsKind::Stub, "A");
+            let routers: Vec<RouterId> = (0..ROUTERS).map(|i| b.add_router(a, format!("a{i}"))).collect();
+            for w in routers.windows(2) {
+                b.add_intra_link(w[0], w[1], 1);
+            }
+            let mut bgp = Bgp::new(&b.build().unwrap());
+            let mut table: Vec<Prefix> = prefixes
+                .iter()
+                .map(|&(x, len)| Prefix::new(nesting_addr(x), len))
+                .collect();
+            table.sort_unstable();
+            table.dedup();
+            bgp.prefix_lens = length_mask(&table);
+            // Router `r` holds a route for prefix `i` when bit `r` of
+            // `held[i]` is set; each route's path id is its pid.
+            bgp.columns = (0..table.len())
+                .map(|i| {
+                    let mut col = Column::sized(ROUTERS);
+                    for r in (0..ROUTERS).filter(|r| held[i] & 1 << r != 0) {
+                        let sr = StoredRoute { path: i as u32, slot: 0, ..StoredRoute::ORIGINATED };
+                        col.adj_upsert(RouterId(r as u32), sr);
+                        col.adj_in[r].best = 0;
+                    }
+                    Arc::new(col)
+                })
+                .collect();
+            bgp.prefixes = Arc::new(table);
+            for (x, near) in dsts {
+                let dst = if near { nesting_addr(x) } else { Ipv4Addr::from(x) };
+                for r in (0..ROUTERS).map(|r| RouterId(r as u32)) {
+                    prop_assert_eq!(
+                        bgp.longest_match(r, dst),
+                        longest_match_scan(&bgp, r, dst),
+                        "{} at {:?}",
+                        dst,
+                        r
+                    );
+                }
+            }
+        }
+
         /// Random updates, withdrawals, flushes, re-decisions and an
         /// origination keep every center's Loc-RIB slot on the route a
         /// stored Loc-RIB holds, and every change flag equal to "the old
@@ -1964,22 +2225,22 @@ mod tests {
         /// spill and drain again.
         #[test]
         fn adj_cells_keep_a_list_oracles_contents_and_order(
-            ops in proptest::collection::vec((0u32..3, any::<bool>(), 0u32..6, any::<u32>()), 1..400),
+            ops in proptest::collection::vec((0u32..3, any::<bool>(), 0u16..6, any::<u32>()), 1..400),
         ) {
             let mut col = Column::sized(3);
             let mut oracle: Vec<Vec<StoredRoute>> = vec![Vec::new(); 3];
-            for (r, insert, session, path) in ops {
+            for (r, insert, slot, path) in ops {
                 let (router, list) = (RouterId(r), &mut oracle[r as usize]);
-                let at = list.iter().position(|e| e.session == session);
+                let at = list.iter().position(|e| e.slot == slot);
                 if insert {
-                    let sr = StoredRoute { path, session, ..StoredRoute::ORIGINATED };
+                    let sr = StoredRoute { path, slot, ..StoredRoute::ORIGINATED };
                     col.adj_upsert(router, sr);
                     match at {
                         Some(i) => list[i] = sr,
                         None => list.push(sr),
                     }
                 } else {
-                    prop_assert_eq!(col.adj_remove(router, session), at.is_some());
+                    prop_assert_eq!(col.adj_remove(router, slot), at.is_some());
                     if let Some(i) = at {
                         list.remove(i);
                     }
@@ -1991,7 +2252,7 @@ mod tests {
                     prop_assert_eq!(col.adj_in[i].len as usize, want.len());
                     prop_assert_eq!(col.adj_in[i].is_empty(), want.is_empty());
                     for s in 0..6 {
-                        let hit = want.iter().find(|e| e.session == s);
+                        let hit = want.iter().find(|e| e.slot == s);
                         prop_assert_eq!(col.adj_get(r, s), hit);
                     }
                 }

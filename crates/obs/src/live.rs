@@ -18,12 +18,14 @@
 //!   `(recorder, kind, name ptr)` to a slot index, making the steady
 //!   state a TLS load, one compare and the atomic bump itself.
 //! * **Exclusive write lanes.** Each slot holds a small array of
-//!   cache-line-padded lanes. The first few threads to record each own
-//!   a lane outright and bump it with plain relaxed load-then-store —
-//!   no atomic read-modify-write on the hot path at all, which is what
-//!   keeps a live bump within 2x of a virtual-dispatch noop. Later
-//!   threads share one overflow lane where `fetch_add` keeps totals
-//!   exact; a snapshot sums the lanes.
+//!   cache-line-padded lanes. Up to seven recording threads at a time
+//!   each own a lane outright and bump it with plain relaxed
+//!   load-then-store — no atomic read-modify-write on the hot path at
+//!   all, which is what keeps a live bump within 2x of a
+//!   virtual-dispatch noop. A thread hands its lane back when it exits,
+//!   so a daemon's short-lived connection threads keep getting lanes.
+//!   Threads beyond the seven share one overflow lane where `fetch_add`
+//!   keeps totals exact; a snapshot sums the lanes.
 //! * **Series lanes built on first record.** A histogram or span slot
 //!   holds its name, min and max inline; its lanes (8 × 65 buckets,
 //!   4.5 KiB) are built when a name claims the slot, before any thread
@@ -47,7 +49,7 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::event::Event;
@@ -60,16 +62,19 @@ use crate::{log2_bucket, GaugeSnapshot, Recorder, RunReport, SeriesStats};
 /// lanes, only its 56-byte header.
 const SLOTS: usize = 256;
 
-/// Write lanes per slot. The first `SHARDS - 1` threads to record each
-/// own a lane *exclusively* and update it with plain relaxed
-/// load-then-store — no read-modify-write on the hot path at all; every
-/// later thread shares the last lane, where `fetch_add` keeps the total
-/// exact under concurrency. A snapshot sums the lanes.
+/// Write lanes per slot. Up to `SHARDS - 1` live threads each own a lane
+/// *exclusively* and update it with plain relaxed load-then-store — no
+/// read-modify-write on the hot path at all; every other thread shares
+/// the last lane, where `fetch_add` keeps the total exact under
+/// concurrency. A snapshot sums the lanes.
 const SHARDS: usize = 8;
 
 /// Lane index of the shared overflow lane (the only lane updated with
 /// atomic RMW operations).
 const SHARED_LANE: usize = SHARDS - 1;
+
+/// A thread's packed lane (see [`RecorderTls::lane`]) on the shared lane.
+const SHARED_PACKED: u32 = (SHARED_LANE as u32) << 1;
 
 /// Entries in each thread's direct-mapped slot cache.
 const CACHE_WAYS: usize = 64;
@@ -198,23 +203,62 @@ thread_local! {
     };
 }
 
-/// Global source of per-thread lane ids and recorder ids. Lane ids are
-/// never reused, so an exclusive lane has exactly one writer thread for
-/// the life of the process — that is what makes plain store updates
-/// exact.
-static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
+/// Bit `i` set while a live thread owns exclusive lane `i`. An exclusive
+/// lane has exactly one writer thread at a time — that is what makes
+/// plain store updates exact. A lane passes from an exited thread to a
+/// new one only through this mutex: the old owner's unlock in
+/// [`LaneGuard`]'s drop and the new owner's lock in [`assign_lane`] order
+/// the old owner's last plain stores before the new owner's loads.
+static OWNED_LANES: Mutex<u8> = Mutex::new(0);
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Assigns this thread's write lane on its first record: the first
-/// [`SHARED_LANE`] threads own a lane outright (`index << 1 | 1`),
-/// everyone later shares the RMW lane.
+/// Hands the thread's exclusive lane back to [`OWNED_LANES`] when the thread
+/// exits. It lives in a thread-local of its own, which only the cold
+/// [`assign_lane`] touches, so the record path's [`TLS`] stays free of
+/// destructors and the bump gains no branch.
+struct LaneGuard(Cell<Option<u32>>);
+
+impl Drop for LaneGuard {
+    fn drop(&mut self) {
+        let Some(id) = self.0.take() else {
+            return;
+        };
+        // A record made later on this thread, from another thread-local's
+        // destructor, must not write into a lane that has been handed on:
+        // it finds no cached route and the shared lane.
+        let _ = TLS.try_with(|t| {
+            t.lane.set(SHARED_PACKED);
+            for entry in &t.cache {
+                entry.set(EMPTY_ENTRY);
+            }
+        });
+        *OWNED_LANES.lock().unwrap_or_else(PoisonError::into_inner) &= !(1 << id);
+    }
+}
+
+thread_local! {
+    /// This thread's exclusive lane, if it owns one (see [`LaneGuard`]).
+    static LANE_GUARD: LaneGuard = const { LaneGuard(Cell::new(None)) };
+}
+
+/// Assigns this thread's write lane on its first record: a thread owns a
+/// lane outright (`index << 1 | 1`) while fewer than [`SHARED_LANE`]
+/// other live threads do, and shares the RMW lane otherwise.
 #[cold]
 fn assign_lane(t: &RecorderTls) -> u32 {
-    let id = NEXT_LANE.fetch_add(1, Ordering::Relaxed);
-    let packed = if id < SHARED_LANE {
-        (id as u32) << 1 | 1
-    } else {
-        (SHARED_LANE as u32) << 1
+    let owned = LANE_GUARD.try_with(|guard| {
+        let mut owned = OWNED_LANES.lock().unwrap_or_else(PoisonError::into_inner);
+        let id = owned.trailing_ones();
+        (id < SHARED_LANE as u32).then(|| {
+            *owned |= 1 << id;
+            guard.0.set(Some(id));
+            id
+        })
+    });
+    let packed = match owned {
+        Ok(Some(id)) => id << 1 | 1,
+        // Every lane is owned, or the thread is exiting.
+        _ => SHARED_PACKED,
     };
     t.lane.set(packed);
     packed
@@ -878,6 +922,60 @@ mod tests {
         live.record_span("f.span", 7);
         let lanes = std::mem::size_of::<[SeriesLane; SHARDS]>();
         assert_eq!(live.footprint_bytes(), empty + 2 * lanes);
+    }
+
+    /// A thread hands its exclusive lane back when it exits, so threads
+    /// started and joined one after another each own one, where without
+    /// recycling all but the first seven would share the RMW lane. Other
+    /// tests of this binary may hold every lane for a moment, so a thread
+    /// that finds none is retried after a pause; a lane never handed back
+    /// stays taken through every retry.
+    #[test]
+    fn exited_threads_hand_their_lanes_on() {
+        let live = Arc::new(LiveRecorder::new());
+        let mut threads = 0;
+        for i in 0..20 {
+            let exclusive = (0..50).any(|_| {
+                threads += 1;
+                let live = Arc::clone(&live);
+                let lane = std::thread::spawn(move || {
+                    live.add("lanes.count", 1);
+                    live.observe("lanes.hist", 5);
+                    TLS.with(|t| t.lane.get())
+                })
+                .join()
+                .unwrap();
+                let exclusive = lane & 1 == 1;
+                if !exclusive {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                exclusive
+            });
+            assert!(exclusive, "thread {i} found no free lane in 50 tries");
+        }
+        let report = live.snapshot();
+        assert_eq!(report.counter("lanes.count"), threads);
+        let h = report.histogram("lanes.hist").expect("histogram recorded");
+        assert_eq!((h.count, h.sum), (threads, 5 * threads));
+    }
+
+    /// A record made after the thread's lane guard has run, as from a
+    /// later thread-local destructor, lands on the shared lane and is
+    /// still counted.
+    #[test]
+    fn records_after_the_lane_is_handed_back_use_the_shared_lane() {
+        let live = Arc::new(LiveRecorder::new());
+        let inner = Arc::clone(&live);
+        let lane = std::thread::spawn(move || {
+            inner.add("late.count", 1);
+            LANE_GUARD.with(|g| drop(LaneGuard(Cell::new(g.0.take()))));
+            inner.add("late.count", 2);
+            TLS.with(|t| t.lane.get())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(lane, SHARED_PACKED);
+        assert_eq!(live.snapshot().counter("late.count"), 3);
     }
 
     #[test]

@@ -77,15 +77,15 @@ PY
 done
 # Shard workers take ownership of their prefixes' columns and hand them
 # back, so two threads must not hold a second copy of the RIBs. The
-# one-thread run must also fit the full RIB's absolute budget: 32 bytes
-# per router x prefix put the 1k internet at about 43 MiB, and 50 MiB
-# leaves room for noise but not for a wider cell (44 bytes read 57 MiB).
+# one-thread run must also fit the full RIB's absolute budget: 24 bytes
+# per router x prefix put the 1k internet at about 34 MiB, and 40 MiB
+# leaves room for noise but not for a wider cell (32 bytes read 43 MiB).
 python3 - "${gen_jsons[@]}" <<'PY'
 import json, sys
 one, two = (json.loads(a)["rss_peak_kb"] for a in sys.argv[1:3])
 assert two <= 1.5 * one, f"2-thread peak RSS {two} kB exceeds 1.5x the 1-thread {one} kB"
-assert one <= 51200, f"1-thread peak RSS {one} kB exceeds the 51200 kB (50 MiB) full-RIB budget"
-print(f"peak RSS: 1 thread {one} kB (budget 51200 kB), 2 threads {two} kB ({two / one:.2f}x)")
+assert one <= 40960, f"1-thread peak RSS {one} kB exceeds the 40960 kB (40 MiB) full-RIB budget"
+print(f"peak RSS: 1 thread {one} kB (budget 40960 kB), 2 threads {two} kB ({two / one:.2f}x)")
 PY
 
 echo "== trace smoke (simulate -> diagnose --trace -> explain) =="
