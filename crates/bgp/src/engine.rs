@@ -661,73 +661,21 @@ pub struct RunStats {
 /// topology size at engine construction.
 const MAX_MESSAGES_PER_RUN: u64 = 200_000_000;
 
-/// The BGP simulator for a whole topology.
-///
-/// Per-prefix `Column`s sit behind [`Arc`]s so a `Bgp` clone is
-/// O(#prefixes) pointer bumps; mutation goes through `Bgp::col_mut`,
-/// which clones a column only when it is still shared with another engine
-/// clone (copy-on-write). The session table, prefix table and per-session
-/// policy metadata are immutable after construction and shared outright.
-#[derive(Clone, Debug)]
-pub struct Bgp {
-    /// The session table (public for inspection; immutable after build).
-    pub sessions: Arc<SessionTable>,
-    /// Sorted prefix table; pid = index (immutable after build).
-    prefixes: Arc<Vec<Prefix>>,
-    /// Bit `len` set when the prefix table holds a prefix of length
-    /// `len` (0..=32): the lengths [`Bgp::longest_match`] probes.
-    prefix_lens: u64,
-    /// Per-session policy inputs (immutable after build).
-    sess_meta: Arc<Vec<SessMeta>>,
-    /// Every router's sessions by slot (immutable after build).
-    slots: Arc<SlotTable>,
-    /// Per-prefix state, one column per pid (copy-on-write).
-    columns: Vec<Arc<Column>>,
-    filters: ExportFilters,
-    queue: VecDeque<Msg>,
-    observer: Option<AsId>,
-    observed: Vec<ObservedMsg>,
-    recorder: RecorderHandle,
-    /// Cached `recorder.trace_enabled()` so the per-message event gate is
-    /// one branch, not a virtual call (set in [`Bgp::set_recorder`]).
-    trace_on: bool,
-    /// Decision-process invocations since the last flush (batched so the
-    /// hot path pays one integer add, not a virtual call).
-    decisions: u64,
-    /// Copy-on-write breaks since the last flush (batched like `decisions`).
-    cow_breaks: u64,
-    /// Prefixes visited by scoped replay since the last flush (batched).
-    replay_prefixes: u64,
-    /// Message cap for one `run`, scaled with topology size.
-    msg_cap: u64,
-    /// Cached per-session liveness (1 = up). `None` falls back to the
-    /// ground-truth recomputation in [`SessionTable::is_up`]; when `Some`,
-    /// the owner (the simulator layer) must keep it in sync with link and
-    /// IGP state — a `debug_assert` cross-checks every read.
-    live: Option<Vec<u8>>,
+/// The topology-derived tables of an engine: the session table, every
+/// router's sessions by slot and the per-session policy inputs. They
+/// depend on the topology alone, so they are built once per topology
+/// and shared by every engine scoped from it ([`Bgp::scoped`]) and by
+/// every clone of those.
+#[derive(Debug)]
+struct Tables {
+    sessions: SessionTable,
+    slots: SlotTable,
+    meta: Vec<SessMeta>,
 }
 
-impl Bgp {
-    /// Creates the engine with empty RIBs and no routes originated, over
-    /// every AS's prefix: the all-ASes case of [`Bgp::with_origins`].
-    pub fn new(topology: &Topology) -> Self {
-        let all: Vec<AsId> = topology.ases().iter().map(|a| a.id).collect();
-        Self::with_origins(topology, &all)
-    }
-
-    /// Creates the engine with empty RIBs and no routes originated, over
-    /// the prefix space of `origins` only: the engine holds one column per
-    /// origin prefix, and only these ASes may be originated.
-    ///
-    /// An engine that only ever originates a few ASes (a sensor placement
-    /// originates its sensors' prefixes) is observationally identical to
-    /// a [`Bgp::new`] engine that originated the same ASes. Pids ascend in
-    /// prefix order within the subset, so every pid walk visits the
-    /// in-scope prefixes in the same relative order, and the prefixes left
-    /// out would only ever have been empty cells there: [`Bgp::best_route`]
-    /// answers `None` for them and a filter on them queues nothing.
-    pub fn with_origins(topology: &Topology, origins: &[AsId]) -> Self {
-        let sessions = Arc::new(SessionTable::build(topology));
+impl Tables {
+    fn build(topology: &Topology) -> Self {
+        let sessions = SessionTable::build(topology);
         // A cell holds at most one route per session of its router, its
         // Loc-RIB entry is a `u16` position below the sentinels, and each
         // route names its session by a `u16` slot below `NO_SLOT`. The
@@ -735,15 +683,8 @@ impl Bgp {
         // sessions at 1k ASes, 741 at 10k and 3,616 at 60k, far below the
         // bound.
         assert_slots_indexable(&sessions, topology.router_count(), BEST_ORIGINATED);
-        let slots = Arc::new(SlotTable::build(&sessions, topology.router_count()));
-        let mut prefixes: Vec<Prefix> = origins
-            .iter()
-            .map(|&a| topology.as_node(a).prefix)
-            .collect();
-        prefixes.sort_unstable();
-        prefixes.dedup();
-        let n_prefixes = prefixes.len();
-        let sess_meta: Vec<SessMeta> = sessions
+        let slots = SlotTable::build(&sessions, topology.router_count());
+        let meta = sessions
             .sessions()
             .iter()
             .map(|s| {
@@ -772,17 +713,92 @@ impl Bgp {
                 }
             })
             .collect();
-        let msg_cap =
-            MAX_MESSAGES_PER_RUN.max(sess_meta.len() as u64 * n_prefixes.max(1) as u64 * 64);
-        Bgp {
+        Tables {
             sessions,
-            prefix_lens: length_mask(&prefixes),
-            prefixes: Arc::new(prefixes),
-            sess_meta: Arc::new(sess_meta),
             slots,
-            columns: (0..n_prefixes)
-                .map(|_| Arc::new(Column::sized(topology.router_count())))
-                .collect(),
+            meta,
+        }
+    }
+}
+
+/// The BGP simulator for a whole topology.
+///
+/// Per-prefix `Column`s sit behind [`Arc`]s so a `Bgp` clone is
+/// O(#prefixes) pointer bumps; mutation goes through `Bgp::col_mut`,
+/// which clones a column only when it is still shared with another engine
+/// clone (copy-on-write). The topology-derived tables and the prefix
+/// table are immutable after construction and shared outright.
+#[derive(Clone, Debug)]
+pub struct Bgp {
+    /// Sessions, slots and per-session policy inputs (immutable, shared
+    /// by every engine scoped from the same tables).
+    tables: Arc<Tables>,
+    /// Sorted prefix table; pid = index (immutable after build).
+    prefixes: Arc<Vec<Prefix>>,
+    /// Bit `len` set when the prefix table holds a prefix of length
+    /// `len` (0..=32): the lengths [`Bgp::longest_match`] probes.
+    prefix_lens: u64,
+    /// Per-prefix state, one column per pid (copy-on-write).
+    columns: Vec<Arc<Column>>,
+    filters: ExportFilters,
+    queue: VecDeque<Msg>,
+    observer: Option<AsId>,
+    observed: Vec<ObservedMsg>,
+    recorder: RecorderHandle,
+    /// Cached `recorder.trace_enabled()` so the per-message event gate is
+    /// one branch, not a virtual call (set in [`Bgp::set_recorder`]).
+    trace_on: bool,
+    /// Decision-process invocations since the last flush (batched so the
+    /// hot path pays one integer add, not a virtual call).
+    decisions: u64,
+    /// Copy-on-write breaks since the last flush (batched like `decisions`).
+    cow_breaks: u64,
+    /// Prefixes visited by scoped replay since the last flush (batched).
+    replay_prefixes: u64,
+    /// Message cap for one `run`, scaled with topology size.
+    msg_cap: u64,
+    /// Cached per-session liveness (1 = up). `None` falls back to the
+    /// ground-truth recomputation in [`SessionTable::is_up`]; when `Some`,
+    /// the owner (the simulator layer) must keep it in sync with link and
+    /// IGP state — a `debug_assert` cross-checks every read. Kept inline,
+    /// not behind an `Arc`: every delivered message reads it, and the
+    /// extra indirection cost about 3% of a full convergence.
+    live: Option<Vec<u8>>,
+}
+
+impl Bgp {
+    /// Creates the engine with empty RIBs and no routes originated, over
+    /// every AS's prefix: the all-ASes case of [`Bgp::with_origins`].
+    pub fn new(topology: &Topology) -> Self {
+        let all: Vec<AsId> = topology.ases().iter().map(|a| a.id).collect();
+        Self::with_origins(topology, &all)
+    }
+
+    /// Creates the engine with empty RIBs and no routes originated, over
+    /// the prefix space of `origins` only: the engine holds one column per
+    /// origin prefix, and only these ASes may be originated. Builds the
+    /// topology's tables and scopes them to `origins` ([`Bgp::scoped`]).
+    ///
+    /// An engine that only ever originates a few ASes (a sensor placement
+    /// originates its sensors' prefixes) is observationally identical to
+    /// a [`Bgp::new`] engine that originated the same ASes. Pids ascend in
+    /// prefix order within the subset, so every pid walk visits the
+    /// in-scope prefixes in the same relative order, and the prefixes left
+    /// out would only ever have been empty cells there: [`Bgp::best_route`]
+    /// answers `None` for them and a filter on them queues nothing.
+    pub fn with_origins(topology: &Topology, origins: &[AsId]) -> Self {
+        Self::base(topology).scoped(topology, origins)
+    }
+
+    /// The body of every constructor: an engine over `topology`'s freshly
+    /// built tables with an empty prefix space, the base
+    /// [`Bgp::scoped`] sizes.
+    fn base(topology: &Topology) -> Self {
+        Bgp {
+            tables: Arc::new(Tables::build(topology)),
+            prefixes: Arc::new(Vec::new()),
+            prefix_lens: 0,
+            columns: Vec::new(),
             filters: ExportFilters::new(),
             queue: VecDeque::new(),
             observer: None,
@@ -792,9 +808,47 @@ impl Bgp {
             decisions: 0,
             cow_breaks: 0,
             replay_prefixes: 0,
-            msg_cap,
+            msg_cap: MAX_MESSAGES_PER_RUN,
             live: None,
         }
+    }
+
+    /// An engine over the prefix space of `origins` that shares this
+    /// engine's topology-derived tables and copies its session-liveness
+    /// cache, with empty RIBs. Only the new columns are built (O(#origins x
+    /// #routers)); nothing derived from the topology is.
+    ///
+    /// `self` is a healthy base that has originated nothing: an engine
+    /// with no column, no filter and an empty queue (checked in debug
+    /// builds), built over `topology`, whose liveness cache, when
+    /// present, is the all-links-up one. Its observer and recorder carry
+    /// over.
+    pub fn scoped(&self, topology: &Topology, origins: &[AsId]) -> Self {
+        debug_assert!(
+            self.columns.is_empty() && self.filters.is_empty() && self.queue.is_empty(),
+            "Bgp::scoped needs a base that has originated nothing"
+        );
+        let mut prefixes: Vec<Prefix> = origins
+            .iter()
+            .map(|&a| topology.as_node(a).prefix)
+            .collect();
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        let n_prefixes = prefixes.len();
+        let mut bgp = self.clone();
+        bgp.prefix_lens = length_mask(&prefixes);
+        bgp.prefixes = Arc::new(prefixes);
+        bgp.columns = (0..n_prefixes)
+            .map(|_| Arc::new(Column::sized(topology.router_count())))
+            .collect();
+        bgp.msg_cap =
+            MAX_MESSAGES_PER_RUN.max(self.tables.meta.len() as u64 * n_prefixes.max(1) as u64 * 64);
+        bgp
+    }
+
+    /// The session table (immutable after build).
+    pub fn sessions(&self) -> &SessionTable {
+        &self.tables.sessions
     }
 
     /// The pid of `prefix`, when it belongs to the engine's prefix space.
@@ -829,23 +883,26 @@ impl Bgp {
                 let up = v[sid.index()] != 0;
                 debug_assert_eq!(
                     up,
-                    self.sessions.is_up(sid, ctx.topology, ctx.igp, ctx.links),
+                    self.tables
+                        .sessions
+                        .is_up(sid, ctx.topology, ctx.igp, ctx.links),
                     "stale session-liveness cache for {sid:?}"
                 );
                 up
             }
-            None => self.sessions.is_up(sid, ctx.topology, ctx.igp, ctx.links),
+            None => self
+                .tables
+                .sessions
+                .is_up(sid, ctx.topology, ctx.igp, ctx.links),
         }
     }
 
     /// (Re)builds the session-liveness cache from link and IGP state.
     pub fn recompute_liveness(&mut self, ctx: Ctx<'_>) {
-        let v = (0..self.sessions.sessions().len())
+        let sessions = &self.tables.sessions;
+        let v = (0..sessions.sessions().len())
             .map(|i| {
-                u8::from(
-                    self.sessions
-                        .is_up(SessionId(i as u32), ctx.topology, ctx.igp, ctx.links),
-                )
+                u8::from(sessions.is_up(SessionId(i as u32), ctx.topology, ctx.igp, ctx.links))
             })
             .collect();
         self.live = Some(v);
@@ -875,7 +932,7 @@ impl Bgp {
     /// Marks the eBGP session riding each given link down in the cache.
     pub fn mark_links_down(&mut self, links: &[LinkId]) {
         for &l in links {
-            if let Some(sid) = self.sessions.ebgp_on_link(l) {
+            if let Some(sid) = self.tables.sessions.ebgp_on_link(l) {
                 self.set_session_down(sid);
             }
         }
@@ -885,7 +942,7 @@ impl Bgp {
     /// the cache (the pairs come from [`SpfDelta::lost_pairs`]).
     pub fn mark_pairs_down(&mut self, pairs: &[(RouterId, RouterId)]) {
         for &(a, b) in pairs {
-            if let Some(sid) = self.sessions.ibgp_between(a, b) {
+            if let Some(sid) = self.tables.sessions.ibgp_between(a, b) {
                 self.set_session_down(sid);
             }
         }
@@ -1128,7 +1185,7 @@ impl Bgp {
     /// The session a route stored at `r` was learned on and its peer, the
     /// session's other endpoint (`None` for an originated route).
     fn learned_from(&self, r: RouterId, sr: StoredRoute) -> Option<(SessionId, RouterId)> {
-        (sr.slot != NO_SLOT).then(|| self.slots.of(r)[usize::from(sr.slot)])
+        (sr.slot != NO_SLOT).then(|| self.tables.slots.of(r)[usize::from(sr.slot)])
     }
 
     /// Where traffic on a route stored at `r` leaves `r`'s AS.
@@ -1136,7 +1193,7 @@ impl Bgp {
         let learned = self.learned_from(r, sr);
         // An eBGP-learned route exits on the link its session rides.
         let ebgp_link = match learned {
-            Some((sid, _)) if sr.ebgp() => match self.sessions.get(sid).kind {
+            Some((sid, _)) if sr.ebgp() => match self.tables.sessions.get(sid).kind {
                 SessionKind::Ebgp { link } => Some(link),
                 SessionKind::Ibgp => None,
             },
@@ -1225,7 +1282,7 @@ impl Bgp {
         let l = ctx.topology.link(link);
         match l.kind {
             LinkKind::Inter => {
-                if let Some(sid) = self.sessions.ebgp_on_link(link) {
+                if let Some(sid) = self.tables.sessions.ebgp_on_link(link) {
                     self.set_session_down(sid);
                     self.flush_session(ctx, sid);
                 }
@@ -1241,7 +1298,7 @@ impl Bgp {
     /// liveness cache must already mark the session down (see
     /// [`Bgp::mark_links_down`]); this only replays the affected prefixes.
     pub fn fail_ebgp_link(&mut self, ctx: Ctx<'_>, link: LinkId) {
-        if let Some(sid) = self.sessions.ebgp_on_link(link) {
+        if let Some(sid) = self.tables.sessions.ebgp_on_link(link) {
             self.flush_session(ctx, sid);
         }
     }
@@ -1263,7 +1320,7 @@ impl Bgp {
         let mut dead: Vec<SessionId> = delta
             .lost_pairs
             .iter()
-            .filter_map(|&(a, b)| self.sessions.ibgp_between(a, b))
+            .filter_map(|&(a, b)| self.tables.sessions.ibgp_between(a, b))
             .collect();
         dead.sort_unstable();
         for sid in dead {
@@ -1304,12 +1361,15 @@ impl Bgp {
             .as_node(as_id)
             .routers
             .iter()
-            .flat_map(|&r| self.sessions.of_router(r).iter().copied())
+            .flat_map(|&r| self.tables.sessions.of_router(r).iter().copied())
             .filter(|&sid| {
-                let s = self.sessions.get(sid);
+                let s = self.tables.sessions.get(sid);
                 s.kind == SessionKind::Ibgp
                     && ctx.topology.as_of_router(s.a) == as_id
-                    && !self.sessions.is_up(sid, ctx.topology, ctx.igp, ctx.links)
+                    && !self
+                        .tables
+                        .sessions
+                        .is_up(sid, ctx.topology, ctx.igp, ctx.links)
             })
             .collect::<BTreeSet<_>>()
             .into_iter()
@@ -1396,7 +1456,7 @@ impl Bgp {
     /// Removes all adj-in/adj-out state of a dead session and reconverges
     /// the affected prefixes at both endpoints.
     fn flush_session(&mut self, ctx: Ctx<'_>, sid: SessionId) {
-        let s = *self.sessions.get(sid);
+        let s = *self.tables.sessions.get(sid);
         if self.trace_on {
             self.recorder.event(names::EV_BGP_SESSION, || {
                 netdiag_obs::EventPayload::new()
@@ -1410,7 +1470,7 @@ impl Bgp {
         // them because the session is down.
         for r in [s.a, s.b] {
             let bit = out_bit(&s, r);
-            let slot = self.slots.at(&s, r);
+            let slot = self.tables.slots.at(&s, r);
             // Each affected pid with `r`'s best route from before the
             // removal, which may shift the cell's positions.
             let mut affected: Vec<(Pid, Option<StoredRoute>)> = Vec::new();
@@ -1445,10 +1505,10 @@ impl Bgp {
         if !self.sess_up(ctx, msg.session) {
             return; // lost with the session
         }
-        let meta = self.sess_meta[msg.session.index()];
+        let meta = self.tables.meta[msg.session.index()];
         let (to, pid) = (msg.to, msg.pid());
-        let session = *self.sessions.get(msg.session);
-        let slot = self.slots.at(&session, to);
+        let session = *self.tables.sessions.get(msg.session);
+        let slot = self.tables.slots.at(&session, to);
         let update = matches!(msg.payload, Payload::Update(_));
         // Observer tap: record eBGP messages arriving in the observer AS.
         if let Some(obs) = self.observer {
@@ -1461,7 +1521,7 @@ impl Bgp {
                 if to_as == obs {
                     self.observed.push(ObservedMsg {
                         at: to,
-                        from: msg.from(&self.sessions),
+                        from: msg.from(&self.tables.sessions),
                         from_as,
                         prefix: self.prefixes[pid as usize],
                         kind: if update {
@@ -1478,7 +1538,7 @@ impl Bgp {
                 netdiag_obs::EventPayload::new()
                     .field("kind", if update { "update" } else { "withdraw" })
                     .field("session", if meta.ebgp { "ebgp" } else { "ibgp" })
-                    .field("from", msg.from(&self.sessions).index())
+                    .field("from", msg.from(&self.tables.sessions).index())
                     .field("to", to.index())
                     .field("prefix", self.prefixes[pid as usize].to_string())
             });
@@ -1565,7 +1625,7 @@ impl Bgp {
             // Each route's session and its sender, the session's other
             // endpoint: an eBGP route exits here, an iBGP one at its
             // sender (`StoredRoute::egress`).
-            let via = self.slots.of(r);
+            let via = self.tables.slots.of(r);
             let learned = |sr: &StoredRoute| via[usize::from(sr.slot)];
             let best = col
                 .adj_iter(r)
@@ -1617,7 +1677,8 @@ impl Bgp {
     // hot
     fn propagate(&mut self, ctx: Ctx<'_>, r: RouterId, pid: Pid) {
         let best: Option<StoredRoute> = self.col(pid).best(r);
-        let sessions = Arc::clone(&self.sessions);
+        let tables = Arc::clone(&self.tables);
+        let sessions = &tables.sessions;
         // The eBGP prepend is identical for every peer of `r`; intern it
         // once, lazily, per propagate.
         let mut prepended: Option<(u32, u8)> = None;
@@ -1671,7 +1732,7 @@ impl Bgp {
         b: StoredRoute,
         prepended: &mut Option<(u32, u8)>,
     ) -> Option<RouteMsg> {
-        let meta = self.sess_meta[session.id.index()];
+        let meta = self.tables.meta[session.id.index()];
         if !meta.ebgp {
             // Standard iBGP: only eBGP-learned and originated routes are
             // re-advertised internally (no reflection of iBGP routes).
@@ -1831,7 +1892,7 @@ mod tests {
             let sessions = std::array::from_fn(|i| {
                 std::array::from_fn(|j| {
                     let link = topology.link_between(centers[i], neighbors[j]).unwrap();
-                    bgp.sessions.ebgp_on_link(link).unwrap()
+                    bgp.sessions().ebgp_on_link(link).unwrap()
                 })
             });
             let mut ases: Vec<AsId> = (0..7).map(AsId).collect();
@@ -1861,8 +1922,8 @@ mod tests {
             self.adj[r]
                 .iter()
                 .max_by_key(|sr| {
-                    let sid = self.bgp.sessions.of_router(center)[usize::from(sr.slot)];
-                    let peer = self.bgp.sessions.get(sid).other(center);
+                    let sid = self.bgp.sessions().of_router(center)[usize::from(sr.slot)];
+                    let peer = self.bgp.sessions().get(sid).other(center);
                     (
                         pref_of(sr.source()),
                         Reverse(sr.path_len),
@@ -1875,7 +1936,7 @@ mod tests {
 
         /// The slot of center `r`'s session to neighbor `n`.
         fn slot(&self, r: usize, n: usize) -> u16 {
-            let sids = self.bgp.sessions.of_router(self.centers[r]);
+            let sids = self.bgp.sessions().of_router(self.centers[r]);
             let slot = sids.iter().position(|&s| s == self.sessions[r][n]);
             slot.unwrap() as u16
         }
@@ -2024,14 +2085,15 @@ mod tests {
     fn slot_bound_check_counts_each_routers_sessions() {
         let rib = ShadowRib::new();
         let busiest = (0..rib.topology.router_count())
-            .map(|r| rib.bgp.sessions.of_router(RouterId(r as u32)).len())
+            .map(|r| rib.bgp.sessions().of_router(RouterId(r as u32)).len())
             .max()
             .unwrap();
         assert_eq!(busiest, 5);
         let routers = rib.topology.router_count();
-        assert_slots_indexable(&rib.bgp.sessions, routers, 6);
+        let sessions = rib.bgp.sessions();
+        assert_slots_indexable(sessions, routers, 6);
         let refused = std::panic::catch_unwind(|| {
-            assert_slots_indexable(&rib.bgp.sessions, routers, 5);
+            assert_slots_indexable(sessions, routers, 5);
         });
         assert!(refused.is_err());
     }
@@ -2050,14 +2112,14 @@ mod tests {
         ] {
             let bgp = Bgp::new(&topology);
             for r in topology.routers().iter().map(|r| r.id) {
-                let sids = bgp.sessions.of_router(r);
+                let sids = bgp.sessions().of_router(r);
                 assert!(sids.windows(2).all(|w| w[0] < w[1]), "{r:?}: {sids:?}");
-                let via = bgp.slots.of(r);
+                let via = bgp.tables.slots.of(r);
                 assert_eq!(via.len(), sids.len());
                 for (slot, &sid) in sids.iter().enumerate() {
-                    let s = bgp.sessions.get(sid);
+                    let s = bgp.sessions().get(sid);
                     assert_eq!(via[slot], (sid, s.other(r).unwrap()));
-                    assert_eq!(usize::from(bgp.slots.at(s, r)), slot);
+                    assert_eq!(usize::from(bgp.tables.slots.at(s, r)), slot);
                 }
             }
         }

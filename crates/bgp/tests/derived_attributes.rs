@@ -40,7 +40,7 @@ fn materialized_routes_carry_derived_local_pref_exit_link_and_egress() {
                         "{link:?} does not touch {:?}",
                         r.id
                     );
-                    assert_eq!(bgp.sessions.get(sid).kind, SessionKind::Ebgp { link });
+                    assert_eq!(bgp.sessions().get(sid).kind, SessionKind::Ebgp { link });
                     assert_eq!(route.egress, r.id);
                     ebgp += 1;
                 }

@@ -32,8 +32,8 @@
 //!                [--failure SPEC] [--blocked FRAC] [--lg FRAC]
 //!                [--threads N]
 //!     Runs the paper's placement x failure experiment loop on the trial
-//!     worker pool and prints per-algorithm accuracy means. `--threads`
-//!     caps the pool (default: available parallelism).
+//!     worker pool and prints per-algorithm accuracy means and the peak
+//!     RSS. `--threads` caps the pool (default: available parallelism).
 //!
 //! netdiag gen --ases N [--seed N] [--tier1 N] [--transit-frac F]
 //!             [--multihoming F] [--peering F] [--converge] [--threads N]
@@ -257,6 +257,9 @@ fn trials(args: Vec<String>) -> ExitCode {
         let sens = mean(&|t| get(t).map(|e| e.sensitivity));
         let spec = mean(&|t| get(t).map(|e| e.specificity));
         println!("{name:<11} {sens:>11}  {spec:>11}");
+    }
+    if let Some(kb) = peak_rss_kb() {
+        println!("peak RSS {:.1} MiB", kb as f64 / 1024.0);
     }
     ExitCode::SUCCESS
 }

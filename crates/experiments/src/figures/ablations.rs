@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use crate::bridge::TruthIpToAs;
 use crate::figures::{collect_trials, FigureConfig, FigureOutput};
 use crate::output::{f4, Table};
-use crate::runner::{draw_with, prepare_with, RunConfig, TrialScratch};
+use crate::runner::{draw_with, placement_base, prepare_on, RunConfig, TrialScratch};
 use crate::sampling::FailureSpec;
 
 /// The weight pairs swept.
@@ -68,6 +68,7 @@ fn greedy_vs_exact(fc: &FigureConfig) -> FigureOutput {
         "exact_mean_size",
         "greedy_optimal_fraction",
     ]);
+    let base = placement_base(&net, fc.recorder.clone());
     for x in [1usize, 2, 3] {
         let cfg = RunConfig {
             failure: FailureSpec::Links(x),
@@ -78,7 +79,7 @@ fn greedy_vs_exact(fc: &FigureConfig) -> FigureOutput {
         let mut exact_sizes = Vec::new();
         for p in 0..fc.placements.min(3) {
             let mut prng = StdRng::seed_from_u64(fc.base_seed ^ (p as u64 + 77));
-            let ctx = prepare_with(&net, &cfg, &mut prng, fc.recorder.clone());
+            let ctx = prepare_on(&base, &net, &cfg, &mut prng, fc.recorder.clone());
             let mut scratch = TrialScratch::new(&ctx);
             for _ in 0..fc.failures_per_placement.min(10) {
                 // The trial loop's draw, without its diagnoses: the exact

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use crate::figures::{FigureConfig, FigureOutput};
 use crate::output::{f4, Table};
 use crate::placement::Placement;
-use crate::runner::{prepare_with, RunConfig};
+use crate::runner::{placement_base, prepare_on, RunConfig};
 
 /// Sensor counts swept on the x axis.
 pub const SENSOR_COUNTS: [usize; 6] = [5, 10, 20, 30, 40, 50];
@@ -19,6 +19,7 @@ pub const SENSOR_COUNTS: [usize; 6] = [5, 10, 20, 30, 40, 50];
 /// Regenerates Figure 5.
 pub fn run(fc: &FigureConfig) -> Vec<FigureOutput> {
     let net = fc.internet();
+    let base = placement_base(&net, fc.recorder.clone());
     let strategies = [
         ("same_as", Placement::SameAs),
         ("distant_as", Placement::DistantAs),
@@ -45,7 +46,7 @@ pub fn run(fc: &FigureConfig) -> Vec<FigureOutput> {
             for p in 0..fc.placements {
                 let mut rng =
                     StdRng::seed_from_u64(fc.base_seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
-                let ctx = prepare_with(&net, &cfg, &mut rng, fc.recorder.clone());
+                let ctx = prepare_on(&base, &net, &cfg, &mut rng, fc.recorder.clone());
                 sum += ctx.diagnosability;
             }
             row.push(f4(sum / fc.placements as f64));

@@ -24,7 +24,8 @@ use netdiag_topology::builders::{build_internet, Internet, InternetConfig};
 
 use crate::output::{Cdf, Table};
 use crate::runner::{
-    prepare_with, run_trial_reference, run_trial_with, RunConfig, TrialResult, TrialScratch,
+    placement_base, prepare_on, run_trial_reference, run_trial_with, RunConfig, TrialResult,
+    TrialScratch,
 };
 
 /// How much work a figure regeneration does.
@@ -140,6 +141,9 @@ fn run_workers(workers: usize, body: impl Fn(usize) + Sync) {
 /// `threads` workers that claim placement indices from a shared counter
 /// (preparation order does not matter — the seeds make every context
 /// independent of scheduling — and the result is in placement order).
+/// Every placement is prepared on one [`placement_base`], built on the
+/// calling thread before any worker starts, so the contexts share the
+/// topology, IGP and session tables instead of holding a copy each.
 fn prepare_contexts(
     net: &Internet,
     cfg: &RunConfig,
@@ -152,6 +156,7 @@ fn prepare_contexts(
     // The counter only hands out indices; the contexts travel back through
     // the slot mutexes, so Relaxed publishes nothing it must order.
     let next = AtomicUsize::new(0);
+    let base = placement_base(net, fc.recorder.clone());
     let slots: Vec<Mutex<Option<crate::runner::PlacementContext>>> =
         (0..fc.placements).map(|_| Mutex::new(None)).collect();
     run_workers(threads.min(fc.placements), |_| loop {
@@ -161,7 +166,7 @@ fn prepare_contexts(
         }
         let _trial = netdiag_obs::trial_scope(p as u32, netdiag_obs::SETUP_TRIAL);
         let mut prng = StdRng::seed_from_u64(fc.base_seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
-        let ctx = prepare_with(net, cfg, &mut prng, fc.recorder.clone());
+        let ctx = prepare_on(&base, net, cfg, &mut prng, fc.recorder.clone());
         *slots[p].lock().expect("placement slot poisoned") = Some(ctx);
     });
     slots

@@ -14,7 +14,7 @@ use netdiagnoser::{nd_edge, tomo, BuildOptions, Problem, Weights};
 use crate::bridge::TruthIpToAs;
 use crate::figures::{FigureConfig, FigureOutput};
 use crate::output::{f4, Table};
-use crate::runner::{draw_with, prepare_with, RunConfig, TrialScratch};
+use crate::runner::{draw_with, placement_base, prepare_on, RunConfig, TrialScratch};
 use crate::sampling::FailureSpec;
 
 /// Sensor counts swept.
@@ -23,6 +23,7 @@ pub const SENSOR_COUNTS: [usize; 5] = [5, 10, 20, 40, 80];
 /// Regenerates the scalability table.
 pub fn run(fc: &FigureConfig) -> Vec<FigureOutput> {
     let net = fc.internet();
+    let base = placement_base(&net, fc.recorder.clone());
     let mut table = Table::new(&[
         "sensors",
         "plain_edges",
@@ -38,7 +39,7 @@ pub fn run(fc: &FigureConfig) -> Vec<FigureOutput> {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(fc.base_seed ^ 0x5CA1E ^ n as u64);
-        let ctx = prepare_with(&net, &cfg, &mut rng, fc.recorder.clone());
+        let ctx = prepare_on(&base, &net, &cfg, &mut rng, fc.recorder.clone());
         // One representative unreachability-causing failure.
         let mut frng = StdRng::seed_from_u64(fc.base_seed ^ n as u64);
         let Ok(drawn) = draw_with(&ctx, &mut TrialScratch::new(&ctx), cfg.failure, &mut frng)

@@ -109,17 +109,51 @@ pub fn prepare(net: &Internet, cfg: &RunConfig, rng: &mut StdRng) -> PlacementCo
 
 /// [`prepare`] with an instrumentation recorder: the simulator (and every
 /// trial clone of it) reports IGP, BGP and probe counters to `recorder`,
-/// and the preparation itself is timed as the `trial.setup` span.
+/// and the preparation itself is timed as `trial.setup` spans. Builds a
+/// [`placement_base`] for this one placement; callers that prepare many
+/// placements of one internet build the base once and call
+/// [`prepare_on`].
 pub fn prepare_with(
     net: &Internet,
     cfg: &RunConfig,
     rng: &mut StdRng,
     recorder: RecorderHandle,
 ) -> PlacementContext {
+    let base = placement_base(net, recorder.clone());
+    prepare_on(&base, net, cfg, rng, recorder)
+}
+
+/// The healthy simulator every placement of `net` is prepared on
+/// ([`Sim::base`]): the topology, its all-links-up IGP and the BGP
+/// session tables, which depend on the internet alone. Its SPF runs
+/// report to `recorder` and it is timed as a `trial.setup` span.
+///
+/// The base is built in its own `(NO_PLACEMENT, SETUP_TRIAL)` trial
+/// scope, so the logical clock of its trace events starts at zero
+/// whatever the thread ran before, and the caller's scope resumes where
+/// it was.
+pub fn placement_base(net: &Internet, recorder: RecorderHandle) -> Sim {
+    let _trial = netdiag_obs::trial_scope(netdiag_obs::NO_PLACEMENT, netdiag_obs::SETUP_TRIAL);
     let _setup = recorder.span(names::TRIAL_SETUP);
-    let topology = Arc::new(net.topology.clone());
+    Sim::base(Arc::new(net.topology.clone()), 1, recorder.clone())
+}
+
+/// Prepares a placement of `net` on `base`, a [`placement_base`] of the
+/// same internet: the placement's simulator is scoped from the base
+/// ([`Sim::scoped`]) and shares its topology, IGP and session tables, so
+/// only the sensor prefixes' BGP columns, the converged routes and the
+/// `T-` mesh are the placement's own. Timed as the `trial.setup` span.
+pub fn prepare_on(
+    base: &Sim,
+    net: &Internet,
+    cfg: &RunConfig,
+    rng: &mut StdRng,
+    recorder: RecorderHandle,
+) -> PlacementContext {
+    let _setup = recorder.span(names::TRIAL_SETUP);
+    let topology = base.topology();
     let spec = place_sensors(net, cfg.placement, cfg.n_sensors, rng);
-    let sensors = SensorSet::place(&topology, &spec);
+    let sensors = SensorSet::place(topology, &spec);
     let observer = match cfg.observer {
         ObserverPosition::Core => net.cores[0].as_id,
         ObserverPosition::Tier2 => net.tier2[0].as_id,
@@ -129,7 +163,7 @@ pub fn prepare_with(
     // Trials only probe between sensors, so the simulator's BGP tables
     // are sized to the sensor prefixes alone.
     let origins = sensors.as_ids();
-    let mut sim = Sim::with_origins(Arc::clone(&topology), &origins, recorder.clone());
+    let mut sim = base.scoped(&origins, recorder.clone());
     sensors.register(&mut sim);
     sim.converge_for(&origins);
     // Observe after the initial convergence: trials only want the

@@ -379,12 +379,17 @@ fn dijkstra(
 
 /// Per-AS IGP state for an entire topology.
 ///
-/// Each AS's converged tables sit behind an [`Arc`], so cloning an `Igp`
-/// is O(#ASes) pointer bumps. A recompute replaces the affected AS's Arc
-/// wholesale; untouched ASes keep sharing their tables with every clone.
+/// Each AS's converged tables sit behind an [`Arc`], and so does the list
+/// of them, so cloning an `Igp` is one pointer bump. The first change to
+/// a clone copies the list (O(#ASes) pointer bumps), and a recompute
+/// then replaces or copies only the affected AS's tables; untouched ASes
+/// keep sharing theirs with every clone. Restoring a snapshot, which
+/// every trial attempt does, touches one reference count, not one per
+/// AS, so worker threads restoring simulators scoped from one base do
+/// not contend on the shared tables' counts.
 #[derive(Clone, Debug)]
 pub struct Igp {
-    per_as: Vec<Arc<AsIgp>>,
+    per_as: Arc<Vec<Arc<AsIgp>>>,
 }
 
 impl Igp {
@@ -421,7 +426,7 @@ impl Igp {
         };
         if threads == 1 {
             return Igp {
-                per_as: compute_chunk(ases),
+                per_as: Arc::new(compute_chunk(ases)),
             };
         }
         let mut per_as = Vec::with_capacity(ases.len());
@@ -434,7 +439,9 @@ impl Igp {
                 per_as.extend(h.join().expect("SPF worker panicked"));
             }
         });
-        Igp { per_as }
+        Igp {
+            per_as: Arc::new(per_as),
+        }
     }
 
     /// The converged state of one AS.
@@ -442,10 +449,11 @@ impl Igp {
         &self.per_as[as_id.index()]
     }
 
-    /// True when the AS's tables are shared with another `Igp` clone, i.e.
-    /// replacing them breaks copy-on-write sharing.
+    /// True when the AS's tables are shared with another `Igp` clone
+    /// (directly, or through a shared list), i.e. replacing them breaks
+    /// copy-on-write sharing.
     pub fn is_shared(&self, as_id: AsId) -> bool {
-        Arc::strong_count(&self.per_as[as_id.index()]) > 1
+        Arc::strong_count(&self.per_as) > 1 || Arc::strong_count(&self.per_as[as_id.index()]) > 1
     }
 
     /// Recomputes a single AS after its intra-domain link state changed,
@@ -457,7 +465,8 @@ impl Igp {
         links: &LinkState,
         recorder: &RecorderHandle,
     ) {
-        self.per_as[as_id.index()] = Arc::new(AsIgp::compute(topology, as_id, links, recorder));
+        Arc::make_mut(&mut self.per_as)[as_id.index()] =
+            Arc::new(AsIgp::compute(topology, as_id, links, recorder));
     }
 
     /// Incrementally updates one AS after the given links went down,
@@ -484,7 +493,7 @@ impl Igp {
         if affected.is_empty() {
             return SpfDelta::default();
         }
-        let a = Arc::make_mut(&mut self.per_as[as_id.index()]);
+        let a = Arc::make_mut(&mut Arc::make_mut(&mut self.per_as)[as_id.index()]);
         let mut delta = SpfDelta {
             recomputed: affected.len(),
             ..SpfDelta::default()

@@ -24,6 +24,11 @@ impl LinkState {
         self.up[l.index()]
     }
 
+    /// True when every link is up.
+    pub fn none_down(&self) -> bool {
+        self.up.iter().all(|&u| u)
+    }
+
     /// Marks `l` down. Returns the previous state.
     pub fn set_down(&mut self, l: LinkId) -> bool {
         std::mem::replace(&mut self.up[l.index()], false)

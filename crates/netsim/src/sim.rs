@@ -90,7 +90,7 @@ impl Sim {
     /// topology and link state.
     pub fn new_parallel(topology: Arc<Topology>, threads: usize) -> Self {
         let all: Vec<AsId> = topology.ases().iter().map(|a| a.id).collect();
-        Self::build(topology, &all, RecorderHandle::noop(), threads)
+        Self::base(topology, threads, RecorderHandle::noop()).scoped(&all, RecorderHandle::noop())
     }
 
     /// A simulator whose BGP prefix space holds only the prefixes of
@@ -99,27 +99,28 @@ impl Sim {
     /// so copy-on-write breaks and longest-prefix-match scans touch only
     /// those, and all IGP/BGP/probe work of this simulator (including the
     /// initial SPF and every clone taken from it) reports to `recorder`.
-    /// Only these ASes may be passed to [`Sim::converge_for`].
+    /// Only these ASes may be passed to [`Sim::converge_for`]. A fresh
+    /// [`Sim::base`] scoped to `origins`; callers that build many
+    /// simulators over one topology keep the base and call
+    /// [`Sim::scoped`] instead.
     pub fn with_origins(
         topology: Arc<Topology>,
         origins: &[AsId],
         recorder: RecorderHandle,
     ) -> Self {
-        Self::build(topology, origins, recorder, 1)
+        Self::base(topology, 1, recorder.clone()).scoped(origins, recorder)
     }
 
-    /// The body of every constructor: [`Sim::with_origins`] with the
-    /// initial SPF on `threads` workers.
-    fn build(
-        topology: Arc<Topology>,
-        origins: &[AsId],
-        recorder: RecorderHandle,
-        threads: usize,
-    ) -> Self {
+    /// The healthy base every constructor scopes: all links up, every
+    /// AS's SPF run (on `threads` workers, reporting to `recorder`), the
+    /// BGP session tables and the session-liveness cache built, and an
+    /// empty prefix space, so nothing can be originated on the base
+    /// itself. Everything in it depends on the topology alone; give each
+    /// origin set its own simulator with [`Sim::scoped`].
+    pub fn base(topology: Arc<Topology>, threads: usize, recorder: RecorderHandle) -> Self {
         let links = LinkState::all_up(&topology);
         let igp = Igp::compute_parallel(&topology, &links, threads, &recorder);
-        let mut bgp = Bgp::with_origins(&topology, origins);
-        bgp.set_recorder(recorder.clone());
+        let mut bgp = Bgp::with_origins(&topology, &[]);
         bgp.recompute_liveness(Ctx {
             topology: &topology,
             igp: &igp,
@@ -135,6 +136,30 @@ impl Sim {
             messages: 0,
             recorder,
         }
+    }
+
+    /// A simulator over the prefix space of `origins` ([`Bgp::scoped`])
+    /// that shares this healthy base's topology, per-AS IGP tables and
+    /// BGP session tables: it copies only the link-state bits and the
+    /// session-liveness bytes and sizes fresh BGP columns, and reports to
+    /// `recorder`. A failure in the scoped simulator breaks
+    /// copy-on-write sharing as it does in a clone, so it never reaches
+    /// the base or a sibling.
+    ///
+    /// `self` must be healthy and have originated nothing: no failed
+    /// link, no IGP event, no message, and a BGP engine with no column,
+    /// no filter and an empty queue (checked in debug builds). A
+    /// [`Sim::base`] is that.
+    pub fn scoped(&self, origins: &[AsId], recorder: RecorderHandle) -> Self {
+        debug_assert!(
+            self.links.none_down() && self.igp_events.is_empty() && self.messages == 0,
+            "Sim::scoped needs a healthy base"
+        );
+        let mut sim = self.clone();
+        sim.bgp = self.bgp.scoped(&self.topology, origins);
+        sim.bgp.set_recorder(recorder.clone());
+        sim.recorder = recorder;
+        sim
     }
 
     /// The simulator's instrumentation sink.

@@ -5,6 +5,10 @@
 //! counts, the observed eBGP stream, IGP events and the probe mesh — through
 //! any sequence of link and router failures, misconfigurations (also on
 //! prefixes outside the scope) and snapshot restores.
+//!
+//! A simulator scoped from a shared healthy base (`Sim::scoped`) must in
+//! turn match `Sim::with_origins`, share the base's topology, IGP and
+//! session tables, and keep its failures to itself.
 
 // Test code: unwrap on a broken fixture is the correct failure mode.
 #![allow(clippy::unwrap_used)]
@@ -13,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use netdiag_bgp::ExportDeny;
+use netdiag_bgp::{ExportDeny, Route};
 use netdiag_netsim::{apply_failure, probe_mesh, Failure, SensorSet, Sim};
 use netdiag_obs::RecorderHandle;
 use netdiag_topology::builders::{build_internet, InternetConfig};
@@ -127,6 +131,22 @@ fn assert_same(scoped: &mut Sim, full: &mut Sim, sensors: &SensorSet) -> Result<
     Ok(())
 }
 
+/// The distinct ASes `picks` name and one sensor in each.
+fn placement(topology: &Topology, picks: &BTreeSet<usize>) -> (Vec<AsId>, SensorSet) {
+    let origins: Vec<AsId> = picks
+        .iter()
+        .map(|&p| AsId((p % topology.as_count()) as u32))
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let spec: Vec<_> = origins
+        .iter()
+        .map(|&a| (a, topology.as_node(a).routers[0]))
+        .collect();
+    let sensors = SensorSet::place(topology, &spec);
+    (origins, sensors)
+}
+
 /// Builds the scoped simulator and its full-prefix oracle over the same
 /// origins (one sensor in each), then drives both through `steps`.
 fn check(
@@ -135,18 +155,8 @@ fn check(
     observer: usize,
     steps: &[Step],
 ) -> Result<(), TestCaseError> {
-    let origins: Vec<AsId> = picks
-        .iter()
-        .map(|&p| AsId((p % topology.as_count()) as u32))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
+    let (origins, sensors) = placement(topology, picks);
     let observer = AsId((observer % topology.as_count()) as u32);
-    let spec: Vec<_> = origins
-        .iter()
-        .map(|&a| (a, topology.as_node(a).routers[0]))
-        .collect();
-    let sensors = SensorSet::place(topology, &spec);
 
     let mut scoped = Sim::with_origins(Arc::clone(topology), &origins, RecorderHandle::noop());
     let mut full = Sim::new(Arc::clone(topology));
@@ -206,4 +216,119 @@ fn originating_outside_the_scope_panics() {
     let topology = Arc::new(build_internet(&InternetConfig::small(1)).topology);
     let mut sim = Sim::with_origins(topology, &[AsId(0)], RecorderHandle::noop());
     sim.converge_for(&[AsId(1)]);
+}
+
+/// The paper's small test internet.
+fn small() -> &'static Arc<Topology> {
+    static T: OnceLock<Arc<Topology>> = OnceLock::new();
+    T.get_or_init(|| Arc::new(build_internet(&InternetConfig::small(1)).topology))
+}
+
+/// `sim` with `sensors` registered, converged on `origins`.
+fn converged(mut sim: Sim, sensors: &SensorSet, origins: &[AsId]) -> Sim {
+    sensors.register(&mut sim);
+    sim.converge_for(origins);
+    sim
+}
+
+/// Every router's best route toward every prefix of `origins`.
+fn best_routes(sim: &Sim, origins: &[AsId]) -> Vec<Option<Route>> {
+    let t = sim.topology();
+    t.routers()
+        .iter()
+        .flat_map(|r| {
+            origins
+                .iter()
+                .map(move |&a| sim.bgp().best_route(r.id, &t.as_node(a).prefix))
+        })
+        .collect()
+}
+
+/// True when `a` and `b` hold one copy of the topology, of every AS's
+/// IGP tables and of the BGP session tables.
+fn shares_base(a: &Sim, b: &Sim) -> bool {
+    Arc::ptr_eq(&a.topology_arc(), &b.topology_arc())
+        && a.topology()
+            .ases()
+            .iter()
+            .all(|x| std::ptr::eq(a.igp().of(x.id), b.igp().of(x.id)))
+        && std::ptr::eq(a.bgp().sessions(), b.bgp().sessions())
+}
+
+/// Scopes a placement from a shared base and holds it to
+/// `Sim::with_origins`, then fails a link in it and checks that neither
+/// the base nor a sibling placement saw the failure.
+fn check_base(
+    topology: &Arc<Topology>,
+    picks: &BTreeSet<usize>,
+    sibling_picks: &BTreeSet<usize>,
+    link_pick: usize,
+) -> Result<(), TestCaseError> {
+    let noop = RecorderHandle::noop;
+    let base = Sim::base(Arc::clone(topology), 1, noop());
+    let (origins, sensors) = placement(topology, picks);
+    let mut scoped = converged(base.scoped(&origins, noop()), &sensors, &origins);
+    let mut fresh = converged(
+        Sim::with_origins(Arc::clone(topology), &origins, noop()),
+        &sensors,
+        &origins,
+    );
+    prop_assert!(shares_base(&base, &scoped), "scoped sim copied base state");
+    let healthy = best_routes(&scoped, &origins);
+    prop_assert_eq!(&healthy, &best_routes(&fresh, &origins));
+    prop_assert_eq!(scoped.bgp_messages(), fresh.bgp_messages());
+    let none = BTreeSet::new();
+    prop_assert_eq!(
+        probe_mesh(&scoped, &sensors, &none),
+        probe_mesh(&fresh, &sensors, &none)
+    );
+
+    let (others, sibling_sensors) = placement(topology, sibling_picks);
+    let sibling = converged(base.scoped(&others, noop()), &sibling_sensors, &others);
+    let sibling_routes = best_routes(&sibling, &others);
+    let sibling_mesh = probe_mesh(&sibling, &sibling_sensors, &none);
+
+    let link = topology.links()[link_pick % topology.link_count()].id;
+    scoped.fail_link(link);
+    fresh.fail_link(link);
+    prop_assert_eq!(
+        best_routes(&scoped, &origins),
+        best_routes(&fresh, &origins)
+    );
+    prop_assert_eq!(scoped.bgp_messages(), fresh.bgp_messages());
+
+    prop_assert!(base.links().none_down(), "the failure reached the base");
+    prop_assert!(sibling.links().none_down(), "the failure reached a sibling");
+    prop_assert!(shares_base(&base, &sibling), "a sibling lost its sharing");
+    prop_assert_eq!(best_routes(&sibling, &others), sibling_routes);
+    prop_assert_eq!(probe_mesh(&sibling, &sibling_sensors, &none), sibling_mesh);
+    // The base still scopes the healthy placement.
+    let again = converged(base.scoped(&origins, noop()), &sensors, &origins);
+    prop_assert_eq!(best_routes(&again, &origins), healthy);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// On a small internet, placements scoped from one base match
+    /// `Sim::with_origins` and stay isolated from each other.
+    #[test]
+    fn scoped_from_a_base_matches_with_origins_and_isolates_failures(
+        picks in proptest::collection::btree_set(0usize..100_000, 1..=8),
+        sibling_picks in proptest::collection::btree_set(0usize..100_000, 1..=8),
+        link_pick in 0usize..100_000,
+    ) {
+        check_base(small(), &picks, &sibling_picks, link_pick)?;
+    }
+}
+
+/// A simulator with a prefix space of its own is no base to scope from
+/// (a debug-build check).
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "Bgp::scoped needs a base that has originated nothing")]
+fn scoping_a_placement_simulator_panics() {
+    let sim = Sim::with_origins(Arc::clone(small()), &[AsId(0)], RecorderHandle::noop());
+    let _ = sim.scoped(&[AsId(1)], RecorderHandle::noop());
 }

@@ -51,9 +51,23 @@ echo "== telemetry budget gates =="
 # daemon's telemetry on/off throughput ratio (>= 0.95).
 scripts/bench.sh
 
-echo "== trial pool smoke (netdiag trials --threads) =="
-cargo run -q --release -p netdiag-experiments --bin netdiag -- \
-    trials --placements 2 --failures 2 --threads 2
+echo "== trial pool smoke + RSS gate (netdiag trials, paper grid, 2 threads) =="
+# The paper's 10 x 100 grid on the two-thread pool. Every placement is
+# prepared on one shared simulator base (topology, IGP, session tables),
+# so a placement adds only its own BGP columns, routes and mesh: the run
+# reads about 7.4 MiB peak RSS, 11.1 MiB with a base per placement. The
+# 9 MiB budget fails a return to per-placement bases.
+trials_out="$(cargo run -q --release -p netdiag-experiments --bin netdiag -- \
+    trials --placements 10 --failures 100 --threads 2)"
+echo "$trials_out"
+python3 - "$trials_out" <<'PY'
+import re, sys
+m = re.search(r"^peak RSS ([0-9.]+) MiB$", sys.argv[1], re.M)
+assert m, "netdiag trials printed no peak RSS"
+mib = float(m.group(1))
+assert mib <= 9.0, f"trial-grid peak RSS {mib} MiB exceeds the 9 MiB budget"
+print(f"trial-grid peak RSS {mib} MiB (budget 9 MiB)")
+PY
 
 echo "== internet-scale smoke (netdiag gen -> converge, 1k ASes, 1 and 2 threads) =="
 # Exercises the generator, the IGP construction and the BGP message

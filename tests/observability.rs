@@ -3,6 +3,7 @@
 
 // Test code: unwrap on a broken fixture is the correct failure mode.
 #![allow(clippy::unwrap_used)]
+use netdiag_experiments::figures::{collect_trials, FigureConfig};
 use netdiag_experiments::runner::{prepare_with, run_trial, RunConfig};
 use netdiag_obs::{names, RecorderHandle};
 use netdiag_topology::builders::{build_internet, InternetConfig};
@@ -118,4 +119,30 @@ fn noop_recorder_leaves_no_trace_and_changes_no_results() {
         plain.nd_edge.hypothesis_size
     );
     assert!(sink.snapshot().counter(names::IGP_SPF_RUNS) > 0);
+}
+
+#[test]
+fn grid_placements_share_one_simulator_base() {
+    let net = build_internet(&InternetConfig::small(3));
+    let cfg = RunConfig::default();
+
+    let (recorder, sink) = RecorderHandle::live();
+    let fc = FigureConfig {
+        placements: 3,
+        failures_per_placement: 0,
+        threads: 2,
+        recorder,
+        ..FigureConfig::default()
+    };
+    assert!(collect_trials(&net, &cfg, &fc).is_empty());
+    let grid = sink.snapshot().counter(names::IGP_SPF_RUNS);
+
+    let (recorder, sink) = RecorderHandle::live();
+    prepare_with(&net, &cfg, &mut StdRng::seed_from_u64(11), recorder);
+    let one = sink.snapshot().counter(names::IGP_SPF_RUNS);
+
+    // The all-links-up SPF runs once per grid, on the shared base, not
+    // once per placement.
+    assert!(one > 0, "SPF ran");
+    assert_eq!(grid, one, "a 3-placement grid ran SPF more than once");
 }
