@@ -90,9 +90,6 @@ pub const SERVE_REQUEST: &str = "serve.request";
 /// the counter/series API would monotone-aggregate a value that is
 /// supposed to go back down).
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-/// Histogram: client-observed request latency (nanoseconds) from the
-/// load harness (`netdiag-serve bench`).
-pub const SERVE_CLIENT_LATENCY: &str = "serve.client_latency";
 /// Span: time a diagnose request waited in the pool queue (submit to
 /// worker pickup).
 pub const SERVE_PHASE_QUEUE: &str = "serve.phase.queue";

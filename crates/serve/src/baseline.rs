@@ -44,8 +44,8 @@ pub struct ServeConfig {
     /// [`LiveRecorder`](netdiag_obs::LiveRecorder) behind the `stats`
     /// protocol verb, rolled every second for windowed rates. `false`
     /// records no metrics at all, and `stats` then reports only the
-    /// diagnose and flight-dump counts (the overhead-comparison leg of
-    /// the bench harness).
+    /// diagnose and flight-dump counts (the off leg of the telemetry
+    /// gate, [`bench`](mod@crate::bench)).
     pub telemetry: bool,
     /// Request-latency SLO in microseconds for the flight recorder;
     /// `0` dumps every request (trace-everything mode). Only meaningful
@@ -174,8 +174,9 @@ impl Baseline {
     /// Draws one unreachability-causing link failure against this
     /// baseline ([`draw`]) and renders the request inputs a client would
     /// upload: the post-failure snapshot and AS-X's routing-feed delta.
-    /// Used by the load harness and tests; `None` if no draw breaks any
-    /// path (practically impossible on the generated topology).
+    /// Used by the telemetry gate, the benchmark and tests; `None` if no
+    /// draw breaks any path (practically impossible on the generated
+    /// topology).
     pub fn sample_scenario(&self, seed: u64) -> Option<Scenario> {
         // The scratch (a clone of the healthy network and its snapshot) is
         // dropped after the texts are rendered. Freed before, its memory

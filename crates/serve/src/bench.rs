@@ -1,336 +1,224 @@
-//! Closed-loop load harness behind `netdiag-serve bench`.
+//! The telemetry on/off gate behind `netdiag-serve bench`.
 //!
-//! Starts an in-process daemon on a loopback port, samples one
-//! failure scenario from its baseline, then drives it with N client
-//! threads each issuing M diagnose requests back-to-back. Every
-//! response is validated (protocol `ok`, parseable
-//! [`DiagnosticReport`]); per-request
-//! wall latency lands both in a harness-side [`LiveRecorder`] (as
-//! `serve.client_latency`, nanoseconds) and in an exact sorted sample
-//! for the reported percentiles.
-//!
-//! The harness also reads the *server's* view: after the load phase it
-//! fetches the daemon's `stats` snapshot over the wire and reports the
-//! service-time percentiles (`serve.request`) next to the
-//! client-observed ones — when client p99 diverges far above server
-//! p99, requests are queueing, not slow. [`compare`] runs the whole
-//! harness in interleaved telemetry on/off rounds on one shared
-//! baseline to measure what the live plane costs end to end.
+//! Converges one baseline, samples one failure scenario from it, then
+//! runs [`PAIRS`] pairs of rounds on that baseline: one with the daemon's
+//! live telemetry plane on and one with it off. A round starts an
+//! in-process daemon on a loopback port and drives it closed-loop with
+//! [`CLIENTS`] client threads, each issuing [`REQUESTS`] diagnose
+//! requests back-to-back; every response is validated (protocol `ok`,
+//! parseable [`DiagnosticReport`]), so the timed work is the same in both
+//! legs. [`summarize`] reduces the rounds to the median of the per-pair
+//! on/off throughput ratios, which `scripts/bench.sh` holds at ≥ 0.95.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use netdiag_obs::json::Json;
-use netdiag_obs::{names, LiveRecorder, RecorderHandle, RunReport};
-use netdiagnoser::{Algorithm, DiagnosticReport};
+use netdiagnoser::DiagnosticReport;
 
 use crate::baseline::{Baseline, ServeConfig};
 use crate::client::Client;
 use crate::proto::{write_diagnose_request, DiagnoseJob};
 use crate::server::{Endpoint, Server};
 
-/// Load-harness parameters.
-#[derive(Clone, Debug)]
-pub struct BenchConfig {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Requests per client (closed loop: next request after the
-    /// previous response).
-    pub requests: usize,
-    /// Baseline + scenario seed.
-    pub seed: u64,
-    /// Diagnoses the daemon runs at once (`0` = available parallelism).
-    pub workers: usize,
-    /// Daemon queue capacity (`0` = default).
-    pub queue: usize,
-    /// Algorithm every request runs.
-    pub algo: Algorithm,
-    /// Mount the daemon's live telemetry plane (the production default;
-    /// `false` is the overhead-comparison leg).
-    pub telemetry: bool,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig {
-            clients: 8,
-            requests: 25,
-            seed: 1,
-            workers: 0,
-            queue: 0,
-            algo: Algorithm::default(),
-            telemetry: true,
-        }
-    }
-}
-
-/// What one bench run measured.
-pub struct BenchResults {
-    /// Requests that completed with a valid report.
-    pub completed: u64,
-    /// Requests that errored (protocol errors, overload rejections,
-    /// unparseable reports).
-    pub errors: u64,
-    /// Wall time of the request phase (excludes baseline convergence).
-    pub elapsed_secs: f64,
-    /// Completed requests per second.
-    pub req_per_sec: f64,
-    /// Median client-observed request latency, microseconds.
-    pub p50_us: f64,
-    /// 90th-percentile client-observed request latency, microseconds.
-    pub p90_us: f64,
-    /// 99th-percentile client-observed request latency, microseconds.
-    pub p99_us: f64,
-    /// Median server-side service time (`serve.request`, dequeue to
-    /// serialized response), microseconds — from the daemon's `stats`
-    /// snapshot fetched over the wire. Zero with telemetry off.
-    pub server_p50_us: f64,
-    /// 99th-percentile server-side service time, microseconds.
-    pub server_p99_us: f64,
-    /// The daemon's live metrics snapshot (serve.* counters, phase
-    /// spans, the queue-depth gauge, diagnosis counters) merged with the
-    /// harness's client-latency series.
-    pub report: RunReport,
-}
-
-impl BenchResults {
-    /// Does client-observed p99 run more than 2x above the server's
-    /// service-time p99? If so, the bottleneck is queueing (pool or
-    /// connection FIFO), not diagnosis work.
-    pub fn queueing_divergence(&self) -> bool {
-        self.server_p99_us > 0.0 && self.p99_us > 2.0 * self.server_p99_us
-    }
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * (sorted_ns.len() as f64 - 1.0)).round() as usize;
-    sorted_ns[rank.min(sorted_ns.len() - 1)] as f64 / 1_000.0
-}
-
-/// Runs the harness to completion. Errors are setup failures (bind,
-/// scenario sampling); request-level failures are counted, not fatal.
-pub fn run(config: &BenchConfig) -> Result<BenchResults, String> {
-    let baseline = Arc::new(Baseline::prepare(&serve_config(config)));
-    run_with_baseline(config, baseline)
-}
-
-/// Telemetry on/off pairs [`compare`] runs. At 4 clients × 150 requests
-/// a round, single pairs spread with a standard deviation of about 0.1,
+/// Telemetry on/off pairs of rounds. At [`CLIENTS`] × [`REQUESTS`] a
+/// round, single pairs spread with a standard deviation of about 0.1,
 /// and the median of 20 fell within ±5% of the true ratio 95% of the
 /// time (bootstrap over 40 measured pairs); one more makes the count
 /// odd, so the median is one pair.
-const COMPARE_PAIRS: usize = 21;
+pub const PAIRS: usize = 21;
 
-/// What [`compare`] measured: `COMPARE_PAIRS` pairs of rounds, one with
-/// the live plane on and one with it off.
-pub struct Comparison {
-    /// Telemetry-on rounds, in run order.
-    pub on: Vec<BenchResults>,
-    /// Telemetry-off rounds; `off[i]` ran next to `on[i]`.
-    pub off: Vec<BenchResults>,
+/// Concurrent client connections in a round.
+pub const CLIENTS: usize = 4;
+
+/// Requests per client in a round (closed loop: the next request after
+/// the previous response). With 50, about 1 in 100 medians of 20 pairs
+/// fell below 0.95 when resampled from 40 measured pairs of an unchanged
+/// build; with 150, none did.
+pub const REQUESTS: usize = 150;
+
+/// Baseline and scenario seed.
+const SEED: u64 = 1;
+
+/// What one round measured.
+#[derive(Clone, Copy, Debug)]
+pub struct Round {
+    /// Requests that completed with a valid report.
+    pub completed: u64,
+    /// Requests that failed: connection or protocol errors, overload
+    /// refusals, unparseable reports.
+    pub errors: u64,
+    /// Wall time of the request phase.
+    pub elapsed_secs: f64,
 }
 
-impl Comparison {
-    /// Each pair's on/off throughput ratio, in run order.
-    pub fn ratios(&self) -> Vec<f64> {
-        self.on
-            .iter()
-            .zip(&self.off)
-            .map(|(on, off)| {
-                if off.req_per_sec > 0.0 {
-                    on.req_per_sec / off.req_per_sec
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// The pairs' indices ordered by ratio: the middle one is the median
-    /// pair, whose ratio the telemetry overhead gate in bench.sh checks.
-    pub fn pairs_by_ratio(&self) -> Vec<usize> {
-        let mut order: Vec<(f64, usize)> = self.ratios().into_iter().zip(0..).collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0));
-        order.into_iter().map(|(_, pair)| pair).collect()
+impl Round {
+    /// Completed requests per second.
+    pub fn req_per_sec(&self) -> f64 {
+        self.completed as f64 / self.elapsed_secs
     }
 }
 
-/// Runs the harness with telemetry on and off on one shared baseline, so
-/// the two legs differ only in the live plane. The legs alternate round
-/// by round, each pair taking the other order from the last, so a slow
-/// phase of the host lands on both legs alike rather than on one; the
-/// gate reads the median of the per-pair throughput ratios, which one
+/// The gate's reading of a run: per-pair on/off throughput ratios
+/// reduced to their quartiles and their median pair.
+#[derive(Clone, Copy, Debug)]
+pub struct Summary {
+    /// Pairs of rounds.
+    pub pairs: usize,
+    /// Lower quartile of the per-pair ratios.
+    pub q1: f64,
+    /// Upper quartile of the per-pair ratios.
+    pub q3: f64,
+    /// Run-order index of the median pair.
+    pub median_pair: usize,
+    /// The median pair's on/off throughput ratio: the gated number.
+    pub ratio: f64,
+    /// The median pair's telemetry-on throughput, requests per second.
+    pub on_req_per_sec: f64,
+    /// The median pair's telemetry-off throughput, requests per second.
+    pub off_req_per_sec: f64,
+}
+
+/// Reduces paired rounds (`off[i]` ran next to `on[i]`) to the gate's
+/// [`Summary`]. A round that failed a request or completed fewer than
+/// `expected` is an error: a leg that loses requests reads slower and
+/// would move the ratio for the wrong reason.
+pub fn summarize(on: &[Round], off: &[Round], expected: u64) -> Result<Summary, String> {
+    if on.is_empty() || on.len() != off.len() {
+        return Err(format!(
+            "need equal, non-empty legs; got {} on and {} off rounds",
+            on.len(),
+            off.len()
+        ));
+    }
+    for (pair, (on, off)) in on.iter().zip(off).enumerate() {
+        for (leg, round) in [("on", on), ("off", off)] {
+            if round.errors > 0 || round.completed < expected {
+                return Err(format!(
+                    "pair {pair}, telemetry {leg}: {} of {expected} requests completed, {} errors",
+                    round.completed, round.errors
+                ));
+            }
+        }
+    }
+    // (ratio, pair, on req/s, off req/s), ranked by ratio.
+    let mut ranked: Vec<(f64, usize, f64, f64)> = on
+        .iter()
+        .zip(off)
+        .enumerate()
+        .map(|(pair, (on, off))| {
+            let (on, off) = (on.req_per_sec(), off.req_per_sec());
+            (on / off, pair, on, off)
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let at = |q: usize| ranked[(ranked.len() - 1) * q / 4];
+    let (ratio, median_pair, on_req_per_sec, off_req_per_sec) = at(2);
+    Ok(Summary {
+        pairs: ranked.len(),
+        q1: at(1).0,
+        q3: at(3).0,
+        median_pair,
+        ratio,
+        on_req_per_sec,
+        off_req_per_sec,
+    })
+}
+
+/// Runs the gate: [`PAIRS`] telemetry on/off pairs of rounds on one
+/// shared baseline, so the two legs differ only in the live plane. The
+/// legs alternate round by round, each pair taking the other order from
+/// the last, so a slow phase of the host lands on both legs alike rather
+/// than on one; the median of the per-pair ratios is one that a single
 /// descheduled round cannot move.
-pub fn compare(config: &BenchConfig) -> Result<Comparison, String> {
-    let baseline = Arc::new(Baseline::prepare(&serve_config(config)));
-    let round = |telemetry| {
-        run_with_baseline(
-            &BenchConfig {
-                telemetry,
-                ..config.clone()
-            },
-            Arc::clone(&baseline),
-        )
-    };
-    let mut legs = Comparison {
-        on: Vec::with_capacity(COMPARE_PAIRS),
-        off: Vec::with_capacity(COMPARE_PAIRS),
-    };
-    for pair in 0..COMPARE_PAIRS {
-        let (on, off) = if pair % 2 == 0 {
-            let on = round(true)?;
-            (on, round(false)?)
-        } else {
-            let off = round(false)?;
-            (round(true)?, off)
-        };
-        legs.on.push(on);
-        legs.off.push(off);
-    }
-    Ok(legs)
-}
-
-fn serve_config(config: &BenchConfig) -> ServeConfig {
-    ServeConfig {
-        seed: config.seed,
-        workers: config.workers,
-        queue: config.queue,
-        telemetry: config.telemetry,
+pub fn compare() -> Result<Summary, String> {
+    let baseline = Arc::new(Baseline::prepare(&ServeConfig {
+        seed: SEED,
         ..Default::default()
+    }));
+    let job = scenario_job(&baseline, SEED)?;
+    let round = |telemetry| run_round(Arc::clone(&baseline), &job, telemetry, CLIENTS, REQUESTS);
+    let (mut on, mut off) = (Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS));
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            on.push(round(true)?);
+            off.push(round(false)?);
+        } else {
+            off.push(round(false)?);
+            on.push(round(true)?);
+        }
     }
+    summarize(&on, &off, (CLIENTS * REQUESTS) as u64)
 }
 
-/// [`run`] against an already-converged baseline (shared across
-/// [`compare`] legs).
-pub fn run_with_baseline(
-    config: &BenchConfig,
-    baseline: Arc<Baseline>,
-) -> Result<BenchResults, String> {
-    // Client latencies aggregate into a harness-side live registry: the
-    // bench is itself off the global-mutex recorder.
-    let (client_recorder, client_live) = RecorderHandle::live();
+/// The diagnose request every round sends: the default algorithm on one
+/// failure sampled from `baseline`.
+fn scenario_job(baseline: &Baseline, seed: u64) -> Result<DiagnoseJob, String> {
     let scenario = baseline
-        .sample_scenario(config.seed)
+        .sample_scenario(seed)
         .ok_or("no sampled failure broke a path; try another seed")?;
-    let handle = Server::start_with_baseline(
-        serve_config(config),
-        Endpoint::Tcp("127.0.0.1:0".to_owned()),
-        baseline,
-    )?;
+    Ok(DiagnoseJob {
+        after: scenario.after,
+        feed: Some(scenario.feed),
+        ..Default::default()
+    })
+}
+
+/// One round: a daemon on `baseline` with the live plane on or off,
+/// driven by `clients` threads × `requests` closed-loop requests of
+/// `job`. Errors are setup failures (bind, a panicked client thread);
+/// request-level failures are counted.
+fn run_round(
+    baseline: Arc<Baseline>,
+    job: &DiagnoseJob,
+    telemetry: bool,
+    clients: usize,
+    requests: usize,
+) -> Result<Round, String> {
+    let config = ServeConfig {
+        telemetry,
+        ..Default::default()
+    };
+    let handle =
+        Server::start_with_baseline(config, Endpoint::Tcp("127.0.0.1:0".to_owned()), baseline)?;
     let addr = handle
         .tcp_addr()
         .ok_or("TCP endpoint did not resolve an address")?
         .to_string();
 
-    let job = DiagnoseJob {
-        algo: config.algo,
-        after: scenario.after,
-        feed: Some(scenario.feed),
-        ..Default::default()
-    };
-
     let started = Instant::now();
     let mut threads = Vec::new();
-    for client_idx in 0..config.clients.max(1) {
+    for client_idx in 0..clients {
         let addr = addr.clone();
-        let recorder = client_recorder.clone();
-        let requests = config.requests.max(1);
-        let line = write_diagnose_request(client_idx as u64, &job);
+        let line = write_diagnose_request(client_idx as u64, job);
         threads.push(std::thread::spawn(move || {
-            let mut latencies_ns: Vec<u64> = Vec::with_capacity(requests);
-            let mut errors = 0u64;
             let Ok(mut client) = Client::connect_tcp(&addr) else {
-                return (latencies_ns, requests as u64);
+                return (0, requests as u64);
             };
+            let mut completed = 0u64;
             for _ in 0..requests {
-                let t0 = Instant::now();
-                let response = client.request_line(&line);
-                let ns = t0.elapsed().as_nanos() as u64;
-                match response {
-                    Ok(response) if response_is_valid(&response) => {
-                        recorder.observe(names::SERVE_CLIENT_LATENCY, ns);
-                        latencies_ns.push(ns);
-                    }
-                    _ => errors += 1,
+                match client.request_line(&line) {
+                    Ok(response) if response_is_valid(&response) => completed += 1,
+                    _ => {}
                 }
             }
-            (latencies_ns, errors)
+            (completed, requests as u64 - completed)
         }));
     }
-
-    let mut latencies_ns: Vec<u64> = Vec::new();
-    let mut errors = 0u64;
+    let mut round = Round {
+        completed: 0,
+        errors: 0,
+        elapsed_secs: 0.0,
+    };
     for thread in threads {
-        let (lats, errs) = thread
+        let (completed, errors) = thread
             .join()
             .map_err(|_| "a bench client thread panicked".to_owned())?;
-        latencies_ns.extend(lats);
-        errors += errs;
+        round.completed += completed;
+        round.errors += errors;
     }
-    let elapsed_secs = started.elapsed().as_secs_f64();
-    // The server's own view, over the wire: exercises the stats verb
-    // exactly as an operator would.
-    let (server_p50_us, server_p99_us) = fetch_server_latency(&addr);
-    let report = merged_report(handle.live().as_deref(), &client_live);
+    round.elapsed_secs = started.elapsed().as_secs_f64();
     handle.stop();
-
-    latencies_ns.sort_unstable();
-    let completed = latencies_ns.len() as u64;
-    Ok(BenchResults {
-        completed,
-        errors,
-        elapsed_secs,
-        req_per_sec: if elapsed_secs > 0.0 {
-            completed as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-        p50_us: percentile_us(&latencies_ns, 50.0),
-        p90_us: percentile_us(&latencies_ns, 90.0),
-        p99_us: percentile_us(&latencies_ns, 99.0),
-        server_p50_us,
-        server_p99_us,
-        report,
-    })
-}
-
-/// Asks the daemon for its `stats` snapshot and pulls the
-/// `serve.request` span percentiles out of the report (microseconds).
-/// `(0, 0)` when the daemon serves no live report (telemetry off).
-fn fetch_server_latency(addr: &str) -> (f64, f64) {
-    let Ok(mut client) = Client::connect_tcp(addr) else {
-        return (0.0, 0.0);
-    };
-    let Ok(response) = client.request_line(r#"{"op":"stats","id":0}"#) else {
-        return (0.0, 0.0);
-    };
-    let Ok(v) = netdiag_obs::json::parse(&response) else {
-        return (0.0, 0.0);
-    };
-    let span = v
-        .get("report")
-        .and_then(|r| r.get("spans"))
-        .and_then(|s| s.get(names::SERVE_REQUEST));
-    let pct = |key: &str| {
-        span.and_then(|s| s.get(key))
-            .and_then(Json::as_u64)
-            .map_or(0.0, |ns| ns as f64 / 1_000.0)
-    };
-    (pct("p50_ns"), pct("p99_ns"))
-}
-
-/// The daemon's live snapshot with the harness's client-latency series
-/// folded in (with telemetry off, the client series is all there is).
-fn merged_report(server: Option<&LiveRecorder>, client_live: &LiveRecorder) -> RunReport {
-    let mut report = server.map(LiveRecorder::snapshot).unwrap_or_default();
-    let client = client_live.snapshot();
-    for (name, stats) in client.histograms {
-        report.histograms.insert(name, stats);
-    }
-    report
+    Ok(round)
 }
 
 /// A response counts as completed when the protocol says `ok` and the
@@ -352,32 +240,77 @@ fn response_is_valid(line: &str) -> bool {
 mod tests {
     use super::*;
 
+    fn round(completed: u64, errors: u64, elapsed_secs: f64) -> Round {
+        Round {
+            completed,
+            errors,
+            elapsed_secs,
+        }
+    }
+
+    /// Five pairs whose on legs take 1..=5 s against a 1 s off leg,
+    /// shuffled so the run order is not the ratio order.
+    fn five_pairs() -> (Vec<Round>, Vec<Round>) {
+        let on = [3.0, 1.0, 5.0, 2.0, 4.0].map(|secs| round(10, 0, secs));
+        (on.to_vec(), vec![round(10, 0, 1.0); 5])
+    }
+
     #[test]
-    fn small_bench_completes_all_requests() {
-        let results = run(&BenchConfig {
-            clients: 2,
-            requests: 3,
+    fn an_odd_pair_count_reads_its_middle_pair() {
+        let (on, off) = five_pairs();
+        let summary = summarize(&on, &off, 10).expect("clean rounds summarize");
+        assert_eq!(summary.pairs, 5);
+        // Ratios in run order: 1/3, 1, 1/5, 1/2, 1/4. Sorted, the middle
+        // one is 1/3, which pair 0 measured.
+        assert_eq!(summary.median_pair, 0);
+        assert!((summary.ratio - 1.0 / 3.0).abs() < 1e-12);
+        assert!((summary.q1 - 0.25).abs() < 1e-12);
+        assert!((summary.q3 - 0.5).abs() < 1e-12);
+        assert!((summary.on_req_per_sec - 10.0 / 3.0).abs() < 1e-12);
+        assert!((summary.off_req_per_sec - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_median_pair_is_found_wherever_it_ran() {
+        let (mut on, off) = five_pairs();
+        on.rotate_left(2);
+        // Run order now 5, 2, 4, 3, 1 s: the 3 s pair ran fourth.
+        let summary = summarize(&on, &off, 10).expect("clean rounds summarize");
+        assert_eq!(summary.median_pair, 3);
+        assert!((summary.ratio - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_errored_or_short_round_fails_the_gate() {
+        let (on, off) = five_pairs();
+        let mut errored = off.clone();
+        errored[2] = round(9, 1, 1.0);
+        let err = summarize(&on, &errored, 10).expect_err("an errored round fails");
+        assert!(err.contains("pair 2, telemetry off"), "{err}");
+        let mut short = on.clone();
+        short[4] = round(9, 0, 4.0);
+        let err = summarize(&short, &off, 10).expect_err("a short round fails");
+        assert!(err.contains("pair 4, telemetry on"), "{err}");
+        assert!(summarize(&on[..4], &off, 10).is_err());
+        assert!(summarize(&[], &[], 10).is_err());
+    }
+
+    #[test]
+    fn a_round_completes_every_request_with_telemetry_on_and_off() {
+        let baseline = Arc::new(Baseline::prepare(&ServeConfig {
             seed: 5,
-            workers: 2,
             ..Default::default()
-        })
-        .expect("bench harness runs to completion");
-        assert_eq!(results.completed, 6);
-        assert_eq!(results.errors, 0);
-        assert!(results.p99_us >= results.p50_us);
-        assert!(results
-            .report
-            .histogram(names::SERVE_CLIENT_LATENCY)
-            .is_some());
-        // The wire-fetched server-side view arrived, and the merged
-        // report carries the daemon's own metrics (requests counter,
-        // phase spans, the queue-depth gauge).
-        assert!(results.server_p50_us > 0.0);
-        assert!(results.server_p99_us >= results.server_p50_us);
-        assert!(results.report.counter(names::SERVE_REQUESTS) >= 6);
-        assert!(results.report.span(names::SERVE_PHASE_DIAGNOSE).is_some());
-        assert!(results.report.gauge(names::SERVE_QUEUE_DEPTH).is_some());
-        // Client-observed latency includes the server's service time.
-        assert!(results.p50_us >= results.server_p50_us / 2.0);
+        }));
+        let job = scenario_job(&baseline, 5).expect("seed 5 samples a scenario");
+        for telemetry in [true, false] {
+            let round = run_round(Arc::clone(&baseline), &job, telemetry, 2, 3)
+                .expect("a round runs to completion");
+            assert_eq!(
+                (round.completed, round.errors),
+                (6, 0),
+                "telemetry {telemetry}"
+            );
+            assert!(round.req_per_sec() > 0.0);
+        }
     }
 }

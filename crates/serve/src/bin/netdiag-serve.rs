@@ -1,5 +1,5 @@
-//! `netdiag-serve` — run, query, observe, load-test and stop the
-//! diagnosis daemon.
+//! `netdiag-serve` — run, query, observe, gate and stop the diagnosis
+//! daemon.
 //!
 //! ```text
 //! netdiag-serve run [--listen ADDR | --unix PATH] [--seed N]
@@ -35,16 +35,12 @@
 //!     `--interval` seconds (default 2); `--prom` prints the
 //!     Prometheus text exposition instead; `--json` the raw response.
 //!
-//! netdiag-serve bench [--clients N] [--requests N] [--seed N]
-//!                     [--workers N] [--queue N] [--algo NAME]
-//!                     [--compare] [--profile FILE]
-//!     Closed-loop load harness against an in-process daemon; prints
-//!     throughput, client-observed p50/p90/p99 and the server's own
-//!     service-time percentiles (fetched via `stats`), flagging when
-//!     client p99 diverges >2x above server p99 (queueing). `--compare`
-//!     runs 21 interleaved pairs of telemetry-on and telemetry-off
-//!     rounds on one baseline and prints the median of the per-pair
-//!     throughput ratios.
+//! netdiag-serve bench
+//!     The telemetry on/off gate: 21 interleaved pairs of rounds with
+//!     the daemon's live plane on and off, on one shared baseline, each
+//!     round 4 closed-loop clients × 150 diagnose requests against an
+//!     in-process daemon. Prints the median of the per-pair throughput
+//!     ratios; exits non-zero if any round loses a request.
 //!
 //! netdiag-serve stop (--connect ADDR | --unix PATH)
 //!     Asks a running daemon to shut down.
@@ -59,7 +55,7 @@ use std::time::Duration;
 
 use netdiag_obs::json::{parse, Json};
 use netdiag_obs::names;
-use netdiag_serve::bench::{compare as bench_compare, run as run_bench, BenchConfig, BenchResults};
+use netdiag_serve::bench;
 use netdiag_serve::proto::{write_diagnose_request, DiagnoseJob};
 use netdiag_serve::{Client, Endpoint, ServeConfig, Server};
 use netdiagnoser::text::ScenarioDir;
@@ -73,8 +69,7 @@ fn usage() -> ! {
          [--algo tomo|nd-edge|nd-bgpigp|nd-lg] [--json] [--explain]\n  \
          netdiag-serve stats (--connect ADDR | --unix PATH) [--watch] [--interval SECS] \
          [--prom] [--window SECS] [--json]\n  \
-         netdiag-serve bench [--clients N] [--requests N] [--seed N] [--workers N] \
-         [--queue N] [--algo NAME] [--compare] [--profile FILE]\n  \
+         netdiag-serve bench\n  \
          netdiag-serve stop (--connect ADDR | --unix PATH)"
     );
     std::process::exit(2)
@@ -118,7 +113,7 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("request") => cmd_request(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
+        Some("bench") if args.len() == 1 => cmd_bench(),
         Some("stop") => cmd_stop(&args[1..]),
         _ => usage(),
     }
@@ -385,90 +380,29 @@ fn cmd_stats(args: &[String]) -> ExitCode {
     }
 }
 
-fn print_bench_results(results: &BenchResults) {
-    println!(
-        "completed {} requests ({} errors) in {:.3}s",
-        results.completed, results.errors, results.elapsed_secs
-    );
-    println!("throughput {:.0} req/s", results.req_per_sec);
-    println!(
-        "client latency p50 {:.0}us  p90 {:.0}us  p99 {:.0}us",
-        results.p50_us, results.p90_us, results.p99_us
-    );
-    if results.server_p99_us > 0.0 {
-        println!(
-            "server latency p50 {:.0}us  p99 {:.0}us (service time via stats)",
-            results.server_p50_us, results.server_p99_us
-        );
-        if results.queueing_divergence() {
-            println!(
-                "WARNING: client p99 is more than 2x server p99 — requests are queueing \
-                 (raise --workers or lower the offered load)"
-            );
-        }
-    }
-}
-
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let config = BenchConfig {
-        clients: num_flag(args, "--clients", 8usize),
-        requests: num_flag(args, "--requests", 25usize),
-        seed: num_flag(args, "--seed", 1u64),
-        workers: num_flag(args, "--workers", 0usize),
-        queue: num_flag(args, "--queue", 0usize),
-        algo: algo_flag(args),
-        telemetry: true,
-    };
+fn cmd_bench() -> ExitCode {
     eprintln!(
-        "bench: {} clients x {} requests, algo {}",
-        config.clients, config.requests, config.algo
+        "bench: {} telemetry on/off pairs of {} clients x {} requests",
+        bench::PAIRS,
+        bench::CLIENTS,
+        bench::REQUESTS
     );
-    if args.iter().any(|a| a == "--compare") {
-        let legs = match bench_compare(&config) {
-            Ok(legs) => legs,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let ratios = legs.ratios();
-        let order = legs.pairs_by_ratio();
-        let quartile = |q: usize| ratios[order[(order.len() - 1) * q / 4]];
-        let median = order[order.len() / 2];
-        println!("--- telemetry on (median pair) ---");
-        print_bench_results(&legs.on[median]);
-        println!("--- telemetry off (median pair) ---");
-        print_bench_results(&legs.off[median]);
-        // bench.sh parses the ratio at the end of this line for the
-        // overhead gate: the median of the per-pair on/off ratios.
-        println!(
-            "telemetry-compare: {} pairs, quartiles {:.3}-{:.3}, median pair on {:.1} req/s, \
-             off {:.1} req/s, ratio {:.3}",
-            ratios.len(),
-            quartile(1),
-            quartile(3),
-            legs.on[median].req_per_sec,
-            legs.off[median].req_per_sec,
-            ratios[median]
-        );
-        return ExitCode::SUCCESS;
-    }
-    let results = match run_bench(&config) {
-        Ok(results) => results,
+    match bench::compare() {
+        Ok(s) => {
+            // bench.sh parses the ratio at the end of this line for the
+            // overhead gate: the median of the per-pair on/off ratios.
+            println!(
+                "telemetry-compare: {} pairs, quartiles {:.3}-{:.3}, median pair on {:.1} req/s, \
+                 off {:.1} req/s, ratio {:.3}",
+                s.pairs, s.q1, s.q3, s.on_req_per_sec, s.off_req_per_sec, s.ratio
+            );
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    print_bench_results(&results);
-    if let Some(path) = get_flag(args, "--profile") {
-        if let Err(e) = std::fs::write(&path, results.report.to_json()) {
-            eprintln!("write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("profile written to {path}");
     }
-    ExitCode::SUCCESS
 }
 
 fn cmd_stop(args: &[String]) -> ExitCode {

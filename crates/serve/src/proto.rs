@@ -78,8 +78,8 @@ pub enum Request {
         /// Width of the rate/percentile window in seconds (default 10).
         window_secs: u64,
     },
-    /// Health/readiness probe (cheaper than `stats`; the load harness
-    /// and check.sh gate on it).
+    /// Health/readiness probe (cheaper than `stats`; the benchmark's
+    /// load generator waits on it).
     Health {
         /// Echo id.
         id: u64,

@@ -875,7 +875,6 @@ fn crate_key(root: &str) -> Option<&'static str> {
         "netdiagnoser_repro" => Some("root"),
         "rand" => Some("rand"),
         "proptest" => Some("proptest"),
-        "criterion" => Some("criterion"),
         _ => None,
     }
 }
@@ -913,8 +912,7 @@ fn allowed_deps(crate_name: &str) -> &'static [&'static str] {
             "rand",
         ],
         "proptest" => &["rand"],
-        // obs, xtask and the rand/criterion stubs import nothing
-        // workspace-local.
+        // obs, xtask and the rand stub import nothing workspace-local.
         _ => &[],
     }
 }

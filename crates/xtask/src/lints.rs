@@ -35,7 +35,7 @@ pub const NAMES_PATH: &str = "crates/obs/src/names.rs";
 /// external APIs we don't control: only the `layering` pass (leaf-only
 /// imports) applies to them.
 pub fn is_stub(crate_name: &str) -> bool {
-    matches!(crate_name, "rand" | "proptest" | "criterion")
+    matches!(crate_name, "rand" | "proptest")
 }
 
 /// Prepares and parses every file into a graph [`Unit`] (shared by the

@@ -31,11 +31,7 @@ pub const LINTED_CRATES: [(&str, &str); 9] = [
 /// Vendored dependency stubs, collected only so the `layering` pass can
 /// verify they stay leaf-only (`crates/proptest` may use the `rand`
 /// stub; nothing else).
-pub const STUB_CRATES: [(&str, &str); 3] = [
-    ("criterion", "criterion"),
-    ("proptest", "proptest"),
-    ("rand", "rand"),
-];
+pub const STUB_CRATES: [(&str, &str); 2] = [("proptest", "proptest"), ("rand", "rand")];
 
 /// Does `root` look like the netdiagnoser workspace?
 pub fn is_workspace_root(root: &Path) -> bool {

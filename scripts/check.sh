@@ -30,7 +30,9 @@ echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== tier-1: release build =="
-cargo build --release
+# --locked: a change to the workspace's members or dependencies that
+# leaves Cargo.lock stale fails here instead of rewriting it.
+cargo build --release --locked
 
 echo "== tier-1: tests =="
 cargo test -q
